@@ -3,7 +3,7 @@
 Exit codes: 0 for success (and positive verdicts), 1 for a negative
 domain verdict (invalid stability, non-classical, ...), 2 for malformed
 input.  Output is canonical JSON by default; posets can also be emitted
-as DOT or a plain table.  Identical inputs, configuration and seed give
+as DOT or a plain table.  Identical inputs and configuration give
 byte-identical output.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import graphenum, limits, polarization, posets, serialize, sheaves
 from .errors import VstabError
@@ -23,29 +22,6 @@ from .stability import VStability
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    max_vertices: int = 4
-    degree_window: int = 3
-    denominator_bound: int = 60
-    output_format: str = "json"
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.max_vertices, self.degree_window, self.denominator_bound) <= 0:
-            raise ValueError("all bounds must be positive")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            max_vertices=getattr(args, "max_vertices", 4),
-            degree_window=getattr(args, "window", None) or 3,
-            denominator_bound=60,
-            output_format=getattr(args, "format", "json"),
-            seed=getattr(args, "seed", 0),
-        )
 
 
 def _load_json(path: str):
@@ -64,7 +40,7 @@ def _stability(args, g: DualGraph) -> VStability:
     return serialize.stability_from_json(g, _load_json(args.stability))
 
 
-def _emit(args, doc):
+def _emit(doc):
     sys.stdout.write(serialize.dumps(doc))
 
 
@@ -95,7 +71,7 @@ def cmd_validate(args) -> int:
             for v in report.violations
         ],
     }
-    _emit(args, doc)
+    _emit(doc)
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
@@ -105,7 +81,7 @@ def cmd_enum_orbits(args) -> int:
     if args.chi:
         shift = (args.chi,) + (0,) * (g.n - 1)
         reps = [posets.translate(s, shift) for s in reps]
-    _emit(args, {"orbits": [serialize.stability_to_json(s) for s in reps]})
+    _emit({"orbits": [serialize.stability_to_json(s) for s in reps]})
     return EXIT_OK
 
 
@@ -127,7 +103,7 @@ def cmd_enum_deg(args) -> int:
         ],
         "mod_symmetry": bool(args.mod_symmetry),
     }
-    _emit(args, doc)
+    _emit(doc)
     return EXIT_OK
 
 
@@ -182,7 +158,7 @@ def cmd_poset(args) -> int:
         for lo, hi in diagram.covers:
             sys.stdout.write(f"{diagram.labels[lo]} < {diagram.labels[hi]}\n")
     else:
-        _emit(args, serialize.hasse_to_json(diagram))
+        _emit(serialize.hasse_to_json(diagram))
     return EXIT_OK
 
 
@@ -190,13 +166,13 @@ def cmd_classical(args) -> int:
     g = _graph(args)
     s = _stability(args, g)
     if not s.is_valid:
-        _emit(args, {"classical": None, "error": "stability is not valid"})
+        _emit({"classical": None, "error": "stability is not valid"})
         return EXIT_INPUT
     witness = polarization.is_classical(s)
     if witness is None:
-        _emit(args, {"classical": False})
+        _emit({"classical": False})
         return EXIT_DOMAIN
-    _emit(args, {
+    _emit({
         "classical": True,
         "witness": serialize.polarization_to_json(witness),
     })
@@ -207,15 +183,16 @@ def cmd_semistable(args) -> int:
     g = _graph(args)
     s = _stability(args, g)
     if not s.is_valid:
-        _emit(args, {"error": "stability is not valid"})
+        _emit({"error": "stability is not valid"})
         return EXIT_INPUT
-    cfg = RunConfig.from_args(args)
+    if args.window is not None and args.window < 0:
+        raise ValueError("--window must be non-negative")
     classes = sheaves.enumerate_semistable(
         g, s,
         full_support_only=not args.all_supports,
-        degree_window=cfg.degree_window if args.window is not None else None,
+        degree_window=args.window,
     )
-    _emit(args, {"semistable": [serialize.sheaf_to_json(I) for I in classes]})
+    _emit({"semistable": [serialize.sheaf_to_json(I) for I in classes]})
     return EXIT_OK
 
 
@@ -223,13 +200,13 @@ def cmd_limit(args) -> int:
     g = _graph(args)
     s = _stability(args, g)
     if not s.is_valid:
-        _emit(args, {"error": "stability is not valid"})
+        _emit({"error": "stability is not valid"})
         return EXIT_INPUT
     d0 = tuple(int(tok) for tok in args.multidegree.split(","))
     if len(d0) != g.n:
         raise SchemaError("multidegree length must match the component count")
     result, trace = limits.esteves_limit(d0, s)
-    _emit(args, serialize.trace_to_json(trace))
+    _emit(serialize.trace_to_json(trace))
     return EXIT_OK
 
 
@@ -238,7 +215,7 @@ def cmd_specialize(args) -> int:
     I = serialize.sheaf_from_json(g, _load_json(args.sheaf))
     parts = _parse_subcurve_list(args.partition)
     J = sheaves.gr_specialize(I, sheaves.OrderedPartition(tuple(parts)))
-    _emit(args, serialize.sheaf_to_json(J))
+    _emit(serialize.sheaf_to_json(J))
     return EXIT_OK
 
 
@@ -246,10 +223,10 @@ def cmd_normal_form(args) -> int:
     g = _graph(args)
     s = _stability(args, g)
     if not s.is_valid:
-        _emit(args, {"error": "stability is not valid"})
+        _emit({"error": "stability is not valid"})
         return EXIT_INPUT
     nf, tau = posets.normal_form(s)
-    _emit(args, {
+    _emit({
         "normal_form": serialize.stability_to_json(nf),
         "tau": list(tau),
     })
@@ -257,8 +234,9 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_qdeg_scan(args) -> int:
-    cfg = RunConfig.from_args(args)
-    for g in graphenum.connected_multigraphs(cfg.max_vertices, args.max_edges):
+    if args.max_vertices <= 0:
+        raise ValueError("--max-vertices must be positive")
+    for g in graphenum.connected_multigraphs(args.max_vertices, args.max_edges):
         report = posets.qdeg_scan(g)
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return EXIT_OK
@@ -274,56 +252,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, stability=False):
+    def command(name, func, *, stability=False):
+        p = sub.add_parser(name)
         p.add_argument("--graph", required=True, help="graph JSON file")
         if stability:
             p.add_argument("--stability", required=True, help="stability JSON file")
+        p.set_defaults(func=func)
+        return p
+
+    def chi(p):
         p.add_argument("--chi", type=int, default=0,
                        help="characteristic for enumerations (orbit "
                             "representatives are translated to it)")
-        p.add_argument("--format", default="json", choices=["json", "dot", "table"])
-        p.add_argument("--max-vertices", type=int, default=4)
-        p.add_argument("--window", type=int, default=None)
+
+    def mod_symmetry(p):
         p.add_argument("--mod-symmetry", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        return p
 
-    p = common(sub.add_parser("validate"), stability=True)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, stability=True)
 
-    p = common(sub.add_parser("enum-orbits"))
-    p.set_defaults(func=cmd_enum_orbits)
+    chi(command("enum-orbits", cmd_enum_orbits))
 
-    p = common(sub.add_parser("enum-deg"))
-    p.set_defaults(func=cmd_enum_deg)
+    mod_symmetry(command("enum-deg", cmd_enum_deg))
 
-    p = common(sub.add_parser("poset"))
+    p = command("poset", cmd_poset)
     p.add_argument("--kind", default="deg", choices=["deg", "vstab"])
-    p.set_defaults(func=cmd_poset)
+    p.add_argument("--format", default="json", choices=["json", "dot", "table"])
+    chi(p)
+    mod_symmetry(p)
 
-    p = common(sub.add_parser("classical"), stability=True)
-    p.set_defaults(func=cmd_classical)
+    command("classical", cmd_classical, stability=True)
 
-    p = common(sub.add_parser("semistable"), stability=True)
+    p = command("semistable", cmd_semistable, stability=True)
     p.add_argument("--all-supports", action="store_true")
-    p.set_defaults(func=cmd_semistable)
+    p.add_argument("--window", type=int, default=None,
+                   help="confine every degree to [-window, window]")
 
-    p = common(sub.add_parser("limit"), stability=True)
+    p = command("limit", cmd_limit, stability=True)
     p.add_argument("--multidegree", required=True, help="comma-separated degrees")
-    p.set_defaults(func=cmd_limit)
 
-    p = common(sub.add_parser("specialize"))
+    p = command("specialize", cmd_specialize)
     p.add_argument("--sheaf", required=True, help="sheaf JSON file")
     p.add_argument("--partition", required=True, help='parts as "0,2|1"')
-    p.set_defaults(func=cmd_specialize)
 
-    p = common(sub.add_parser("normal-form"), stability=True)
-    p.set_defaults(func=cmd_normal_form)
+    command("normal-form", cmd_normal_form, stability=True)
 
     p = sub.add_parser("qdeg-scan")
     p.add_argument("--max-vertices", type=int, default=5)
     p.add_argument("--max-edges", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_qdeg_scan)
 
     return parser

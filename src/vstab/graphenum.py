@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import DualGraph
+from .graphs import DualGraph, adjacency_masks, component_of
 
 
 def canonical_edge_form(n: int, edges) -> tuple:
@@ -21,25 +21,6 @@ def canonical_edge_form(n: int, edges) -> tuple:
         if best is None or image < best:
             best = image
     return best
-
-
-def _is_connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def connected_multigraphs(
@@ -58,10 +39,11 @@ def connected_multigraphs(
     out = []
     for n in range(1, max_vertices + 1):
         slots = [(i, j) for i in range(n) for j in range(i + (0 if include_loops else 1), n)]
+        full = (1 << n) - 1
         seen = set()
         for m in range(n - 1, max_edges + 1):
             for combo in itertools.combinations_with_replacement(slots, m):
-                if not _is_connected(n, combo):
+                if component_of(adjacency_masks(n, combo), full, 1) != full:
                     continue
                 key = canonical_edge_form(n, combo)
                 if key in seen:

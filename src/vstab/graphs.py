@@ -47,6 +47,40 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def adjacency_masks(n: int, edges) -> tuple[int, ...]:
+    """Per vertex: the mask of its neighbours, loops ignored."""
+    adj = [0] * n
+    for u, v in edges:
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def component_of(adj, mask: int, start: int) -> int:
+    """The connected piece of ``mask`` containing the vertex bit ``start``,
+    searched over the adjacency masks ``adj``."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & (-frontier)
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def components(adj, mask: int) -> list[int]:
+    """Partition of ``mask`` into its connected pieces over ``adj``, in
+    ascending order of their lowest vertex; the empty mask gives []."""
+    out = []
+    while mask:
+        piece = component_of(adj, mask, mask & (-mask))
+        out.append(piece)
+        mask ^= piece
+    return out
+
+
 @dataclass(frozen=True)
 class DualGraph:
     """Connected dual graph: per-component genera plus a node multiset.
@@ -71,24 +105,8 @@ class DualGraph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-        if not self._simple_connected():
+        if not self.is_connected(self.full_mask):
             raise ValueError("underlying graph must be connected")
-
-    def _simple_connected(self) -> bool:
-        n = len(self.genera)
-        adj = [0] * n
-        for u, v in self.edges:
-            if u != v:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        seen = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            new = adj[v] & ~seen
-            seen |= new
-            frontier.extend(vertices_of(new))
-        return seen == (1 << n) - 1
 
     # -- basic quantities -------------------------------------------------
 
@@ -112,12 +130,7 @@ class DualGraph:
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        adj = [0] * self.n
-        for u, v in self.edges:
-            if u != v:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return tuple(adj)
+        return adjacency_masks(self.n, self.edges)
 
     @cached_property
     def genus(self) -> int:
@@ -133,34 +146,11 @@ class DualGraph:
         """Whether the induced multigraph on Y is connected (loops ignored)."""
         if Y == 0:
             raise EmptySubcurve("connectivity of the empty subcurve is undefined")
-        adj = self.neighbor_masks
-        start = Y & (-Y)
-        seen = start
-        frontier = [start.bit_length() - 1]
-        while frontier:
-            v = frontier.pop()
-            new = adj[v] & Y & ~seen
-            seen |= new
-            frontier.extend(vertices_of(new))
-        return seen == Y
+        return component_of(self.neighbor_masks, Y, Y & (-Y)) == Y
 
     def connected_components(self, Y: int) -> list[int]:
         """Partition of Y into maximal connected pieces; empty input gives []."""
-        adj = self.neighbor_masks
-        out = []
-        rest = Y
-        while rest:
-            start = rest & (-rest)
-            seen = start
-            frontier = [start.bit_length() - 1]
-            while frontier:
-                v = frontier.pop()
-                new = adj[v] & rest & ~seen
-                seen |= new
-                frontier.extend(vertices_of(new))
-            out.append(seen)
-            rest &= ~seen
-        return out
+        return components(self.neighbor_masks, Y)
 
     @cached_property
     def connected_subcurves(self) -> tuple[int, ...]:
@@ -187,6 +177,57 @@ class DualGraph:
         """Complementary biconnected pairs (Y, Y^c) with Y < Y^c."""
         full = self.full_mask
         return tuple((Y, full ^ Y) for Y in self.biconnected_subcurves if Y < full ^ Y)
+
+    @cached_property
+    def covering_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Unordered triples of pairwise-disjoint biconnected subcurves
+        covering the whole curve, each sorted, in ascending order."""
+        bcon = self.biconnected_subcurves
+        index = self.bcon_index
+        full = self.full_mask
+        out = set()
+        for i, Y1 in enumerate(bcon):
+            for Y2 in bcon[i + 1:]:
+                if Y1 & Y2:
+                    continue
+                Y3 = full ^ (Y1 | Y2)
+                if Y3 in index:
+                    out.add(tuple(sorted((Y1, Y2, Y3))))
+        return tuple(sorted(out))
+
+    @cached_property
+    def admissible_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """Unordered disjoint biconnected pairs whose union is biconnected,
+        listed as (Y1, Y2, union)."""
+        bcon = self.biconnected_subcurves
+        index = self.bcon_index
+        out = []
+        for i, Y1 in enumerate(bcon):
+            for Y2 in bcon[i + 1:]:
+                if not Y1 & Y2 and Y1 | Y2 in index:
+                    out.append((Y1, Y2, Y1 | Y2))
+        return tuple(out)
+
+    def biconnected_within(self, Y: int) -> tuple[int, ...]:
+        """Biconnected subcurves of Y viewed as a curve in its own right:
+        nonempty proper Z <= Y with Z and Y - Z connected, ascending."""
+        cache = self._bcon_within_cache
+        got = cache.get(Y)
+        if got is not None:
+            return got
+        out = []
+        Z = (Y - 1) & Y
+        while Z:
+            if self.is_connected(Z) and self.is_connected(Y ^ Z):
+                out.append(Z)
+            Z = (Z - 1) & Y
+        out.reverse()
+        cache[Y] = got = tuple(out)
+        return got
+
+    @cached_property
+    def _bcon_within_cache(self) -> dict[int, tuple[int, ...]]:
+        return {}
 
     # -- edge counting ----------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import Optional
 from .errors import DomainMismatch, NonTermination
 from .graphs import DualGraph, vertices_of
 from .stability import VStability, extended_value_table
-from .sheaves import SheafData
 
 Multidegree = tuple[int, ...]
 
@@ -259,25 +258,12 @@ def _monotone_completion(g, s, ext, d0, betas0, cap):
     return goal, LimitTrace(d0, tuple(chain), goal)
 
 
-def _bcon_set(g: DualGraph) -> frozenset[int]:
-    cached = getattr(g, "_bcon_frozen", None)
-    if cached is None:
-        cached = frozenset(g.biconnected_subcurves)
-        object.__setattr__(g, "_bcon_frozen", cached)
-    return cached
-
-
 def _full_inequality_holds(g, ext, old_min, d_new, Y) -> bool:
     betas = _beta_all(g, d_new, ext)
     return all(
         betas[Z] > old_min or (betas[Z] == old_min and not Z & ~Y)
         for Z in range(1, g.full_mask + 1)
     )
-
-
-def semistable_sheaf(g: DualGraph, d) -> SheafData:
-    """Line-bundle sheaf data for a multidegree (full support, all free)."""
-    return SheafData.line_bundle(g, d)
 
 
 # -- the chip-firing orbit ---------------------------------------------------------

@@ -19,11 +19,7 @@ from .errors import (
     NotAPartialOrder,
 )
 from .graphs import DualGraph, permute_mask, vertices_of
-from .stability import (
-    DegeneracySet,
-    VStability,
-    _admissible_pairs,
-)
+from .stability import DegeneracySet, VStability
 
 # -- degeneracy subsets ---------------------------------------------------------
 
@@ -32,7 +28,7 @@ def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
     """All subsets of the biconnected subcurves closed under complement and
     disjoint-union-into-biconnected, smallest first."""
     pairs = g.bcon_pairs
-    closures = _admissible_pairs(g)
+    closures = g.admissible_pairs
     out = []
     for bits in range(1 << len(pairs)):
         members = set()
@@ -56,12 +52,11 @@ def minimal_elements(D: DegeneracySet) -> frozenset[int]:
     Every member must decompose uniquely as a disjoint union of minimal
     elements; that uniqueness is verified here.
     """
-    g = D.graph
-    bset = set(g.biconnected_subcurves)
+    bcon = D.graph.bcon_index
     mins = frozenset(
         Y for Y in D.members
         if not any(
-            W != Y and W & Y == W and (Y ^ W) in bset
+            W != Y and W & Y == W and (Y ^ W) in bcon
             for W in D.members
         )
     )
@@ -203,7 +198,7 @@ def check_deg_witness(D1: DegeneracySet, D2: DegeneracySet, E: frozenset[int]) -
 
 def _closure_from(g: DualGraph, generators: Iterable[int]) -> frozenset[int]:
     """Disjoint-union closure of a set of biconnected subcurves."""
-    bset = set(g.biconnected_subcurves)
+    bcon = g.bcon_index
     members = set(generators)
     grew = True
     while grew:
@@ -213,7 +208,7 @@ def _closure_from(g: DualGraph, generators: Iterable[int]) -> frozenset[int]:
             for B in snapshot[i + 1:]:
                 if not A & B:
                     U = A | B
-                    if U in bset and U not in members:
+                    if U in bcon and U not in members:
                         members.add(U)
                         grew = True
     return frozenset(members)
@@ -241,7 +236,7 @@ def move_merge_pair(D: DegeneracySet, Y1: int, Y2: int) -> DegeneracySet:
     if Y1 not in mins or Y2 not in mins or Y1 & Y2:
         raise MoveNotApplicable("arguments must be disjoint minimal elements")
     U = Y1 | Y2
-    if U not in set(g.biconnected_subcurves):
+    if U not in g.bcon_index:
         raise MoveNotApplicable("the union must be biconnected")
     gens = (set(mins) - {Y1, Y2}) | {U}
     result = DegeneracySet(g, _closure_from(g, gens))
@@ -452,7 +447,7 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
         pair_of[Y] = i
         pair_of[Yc] = i
     cons_by_depth: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    for A, B, U in _admissible_pairs(g):
+    for A, B, U in g.admissible_pairs:
         depth = max(pair_of[A], pair_of[B], pair_of[U])
         cons_by_depth[depth].append((A, B, U))
 

@@ -11,7 +11,10 @@ Hasse:         {"elements": [...], "covers": [[lower, upper], ...]}
 
 Vertices are 0-based, loops appear as [v, v], edge indices point into the
 canonical sorted edge list, and subcurves are sorted vertex lists.  All
-emitters sort their output, so serialization is canonical.
+emitters sort their output, so serialization is canonical.  Readers take
+every integer as a JSON integer (never a bool, float or string), apart
+from the string-encoded psi entries, and multidegree keys only as the
+decimal indices "0".."n-1"; anything else is a SchemaError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .limits import LimitTrace
 from .polarization import NumericalPolarization
 from .posets import HasseDiagram
 from .sheaves import SheafData
-from .stability import DegeneracySet, VStability
+from .stability import VStability
 
 
 class SchemaError(ValueError):
@@ -36,6 +39,13 @@ def _need(doc: dict, key: str):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"missing key {key!r}")
     return doc[key]
+
+
+def _int(x, what: str) -> int:
+    """A JSON integer, never a bool, float or string coerced to one."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 # -- graphs ------------------------------------------------------------------
@@ -49,7 +59,10 @@ def graph_from_json(doc: dict) -> DualGraph:
     genera = _need(doc, "genera")
     edges = _need(doc, "edges")
     try:
-        return DualGraph(tuple(genera), tuple((int(u), int(v)) for u, v in edges))
+        return DualGraph(
+            tuple(_int(x, "genus") for x in genera),
+            tuple((_int(u, "edge endpoint"), _int(v, "edge endpoint")) for u, v in edges),
+        )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad graph document: {exc}") from exc
 
@@ -73,17 +86,13 @@ def stability_from_json(g: DualGraph, doc: dict) -> VStability:
     mapping = {}
     try:
         for entry in entries:
-            Y = mask_of(int(v) for v in _need(entry, "subcurve"))
-            mapping[Y] = int(_need(entry, "s"))
-        return VStability.from_dict(g, int(chi), mapping)
+            Y = mask_of(_int(v, "vertex") for v in _need(entry, "subcurve"))
+            mapping[Y] = _int(_need(entry, "s"), "stability value")
+        return VStability.from_dict(g, _int(chi, "chi"), mapping)
     except DomainMismatch as exc:
         raise SchemaError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad stability document: {exc}") from exc
-
-
-def degeneracy_to_json(d: DegeneracySet) -> dict:
-    return {"members": sorted(vertices_of(Y) for Y in d.members)}
 
 
 # -- polarizations ----------------------------------------------------------------
@@ -101,7 +110,7 @@ def polarization_from_json(g: DualGraph, doc: dict) -> NumericalPolarization:
     raw = _need(doc, "psi")
     try:
         psi = tuple(Fraction(int(num), int(den)) for num, den in raw)
-        return NumericalPolarization(g, int(chi), psi)
+        return NumericalPolarization(g, _int(chi, "chi"), psi)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad polarization document: {exc}") from exc
 
@@ -123,13 +132,20 @@ def sheaf_from_json(g: DualGraph, doc: dict) -> SheafData:
     support = _need(doc, "support")
     degs = _need(doc, "multidegree")
     nonfree = _need(doc, "nonfree")
+    if not isinstance(degs, dict):
+        raise SchemaError("multidegree must be an object keyed by component")
     try:
-        mask = mask_of(int(v) for v in support)
+        mask = mask_of(_int(v, "vertex") for v in support)
+        component = {str(v): v for v in range(g.n)}
         d = [0] * g.n
         for key, val in degs.items():
-            d[int(key)] = int(val)
-        return SheafData(g, mask, tuple(d), frozenset(int(e) for e in nonfree))
-    except (TypeError, ValueError, IndexError) as exc:
+            if key not in component:
+                raise SchemaError(
+                    f"multidegree key {key!r} does not name a component 0..{g.n - 1}"
+                )
+            d[component[key]] = _int(val, "degree")
+        return SheafData(g, mask, tuple(d), frozenset(_int(e, "edge index") for e in nonfree))
+    except (DomainMismatch, TypeError, ValueError) as exc:
         raise SchemaError(f"bad sheaf document: {exc}") from exc
 
 

@@ -32,7 +32,7 @@ from .errors import (
     NotSemistable,
     OverlappingSubcurves,
 )
-from .graphs import DualGraph, vertices_of
+from .graphs import DualGraph, adjacency_masks, components, vertices_of
 from .stability import VStability
 
 
@@ -134,28 +134,11 @@ class SheafData:
         """Indecomposable summands: restrictions to the connected components
         of the support with the non-free nodes removed."""
         g = self.graph
-        free_adj = [0] * g.n
-        for e in g.internal_edges(self.support):
-            if e in self.nonfree:
-                continue
-            u, v = g.edges[e]
-            if u != v:
-                free_adj[u] |= 1 << v
-                free_adj[v] |= 1 << u
-        pieces = []
-        rest = self.support
-        while rest:
-            start = rest & (-rest)
-            seen = start
-            frontier = [start.bit_length() - 1]
-            while frontier:
-                w = frontier.pop()
-                new = free_adj[w] & rest & ~seen
-                seen |= new
-                frontier.extend(vertices_of(new))
-            pieces.append(seen)
-            rest &= ~seen
-        return tuple(self.restrict(p) for p in pieces)
+        free_adj = adjacency_masks(g.n, (
+            g.edges[e] for e in g.internal_edges(self.support)
+            if e not in self.nonfree
+        ))
+        return tuple(self.restrict(p) for p in components(free_adj, self.support))
 
     def canonical_decomposition(self) -> list["SheafData"]:
         return list(self.canonical_pieces)
@@ -201,27 +184,6 @@ def _component_data(I: SheafData, s: VStability):
     return I.graph.connected_components(I.support)
 
 
-def _bcon_within(g: DualGraph, Y: int) -> list[int]:
-    """Biconnected subcurves of Y viewed as a curve in its own right."""
-    cache = getattr(g, "_bcon_within_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(g, "_bcon_within_cache", cache)
-    got = cache.get(Y)
-    if got is not None:
-        return got
-    out = []
-    sub = Y
-    Z = (sub - 1) & sub
-    while Z:
-        if g.is_connected(Z) and g.is_connected(Y ^ Z):
-            out.append(Z)
-        Z = (Z - 1) & sub
-    out.reverse()
-    cache[Y] = out
-    return out
-
-
 def is_semistable(I: SheafData, s: VStability) -> bool:
     """Every connected component of the support is in the extended
     degeneracy set, carries the extended value as its chi, and dominates
@@ -233,7 +195,7 @@ def is_semistable(I: SheafData, s: VStability) -> bool:
             return False
         if I.euler_char_on(Yi) != s.extended_value(Yi):
             return False
-        for Z in _bcon_within(I.graph, Yi):
+        for Z in I.graph.biconnected_within(Yi):
             if I.euler_char_on(Z) < s.extended_value(Z):
                 return False
     return True
@@ -241,16 +203,7 @@ def is_semistable(I: SheafData, s: VStability) -> bool:
 
 def is_polystable(I: SheafData, s: VStability) -> bool:
     """Semistable, with every tight degenerate piece split off."""
-    if not is_semistable(I, s):
-        return False
-    dhat = s.extended_degeneracy
-    for Yi in _component_data(I, s):
-        for Z in _bcon_within(I.graph, Yi):
-            if Z not in dhat:
-                continue
-            if I.euler_char_on(Z) == s.extended_value(Z) and not _splits_within(I, Yi, Z):
-                return False
-    return True
+    return is_semistable(I, s) and next(_tight_unsplit(I, s), None) is None
 
 
 def is_stable(I: SheafData, s: VStability) -> bool:
@@ -265,7 +218,7 @@ def is_stable(I: SheafData, s: VStability) -> bool:
         return False
     dhat = s.extended_degeneracy
     for Yi in comps:
-        for Z in _bcon_within(I.graph, Yi):
+        for Z in I.graph.biconnected_within(Yi):
             if Z in dhat and I.euler_char_on(Z) == s.extended_value(Z):
                 return False
     return True
@@ -397,36 +350,29 @@ def polystable_limit(I: SheafData, s: VStability) -> SheafData:
         raise NotSemistable("the limit is defined for semistable sheaves")
     current = I
     while True:
-        Z = _tight_unsplit_witness(current, s)
+        Z = next(_tight_unsplit(current, s), None)
         if Z is None:
             return current
         rest = current.support & ~Z
         current = gr_specialize(current, OrderedPartition((Z, rest)))
 
 
-def _tight_unsplit_witness(I: SheafData, s: VStability) -> Optional[int]:
+def _tight_unsplit(I: SheafData, s: VStability) -> Iterator[int]:
+    """Tight degenerate pieces of the support components along which the
+    sheaf does not split: the witnesses that it is not polystable."""
     dhat = s.extended_degeneracy
     for Yi in _component_data(I, s):
-        for Z in _bcon_within(I.graph, Yi):
+        for Z in I.graph.biconnected_within(Yi):
             if Z not in dhat:
                 continue
             if I.euler_char_on(Z) == s.extended_value(Z) and not _splits_within(I, Yi, Z):
-                return Z
-    return None
+                yield Z
 
 
 def tight_unsplit_witnesses(I: SheafData, s: VStability) -> list[int]:
     """All reduction witnesses available at this point; exposed so tests
     can branch over every reduction order."""
-    dhat = s.extended_degeneracy
-    out = []
-    for Yi in _component_data(I, s):
-        for Z in _bcon_within(I.graph, Yi):
-            if Z not in dhat:
-                continue
-            if I.euler_char_on(Z) == s.extended_value(Z) and not _splits_within(I, Yi, Z):
-                out.append(Z)
-    return out
+    return list(_tight_unsplit(I, s))
 
 
 def stable_summands(I: SheafData, s: VStability) -> list[SheafData]:

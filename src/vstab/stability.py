@@ -93,7 +93,7 @@ class VStability:
                     "pair-sum", (Y, Yc),
                     f"value sum minus chi is {t}, expected 0 or 1",
                 ))
-        for Y1, Y2, Y3 in _covering_triples(g):
+        for Y1, Y2, Y3 in g.covering_triples:
             dgs = [self.is_degenerate(Z) for Z in (Y1, Y2, Y3)]
             ndeg = sum(dgs)
             sigma = self.value(Y1) + self.value(Y2) + self.value(Y3) - self.chi
@@ -126,7 +126,7 @@ class VStability:
                     "pair-sum", (Y, Yc),
                     f"value sum minus chi is {t}, expected 0 or 1",
                 ))
-        for Y1, Y2, U in _admissible_pairs(g):
+        for Y1, Y2, U in g.admissible_pairs:
             delta = self.value(U) - self.value(Y1) - self.value(Y2)
             d1, d2, dU = (self.is_degenerate(Z) for Z in (Y1, Y2, U))
             if d1 or d2:
@@ -177,6 +177,15 @@ class VStability:
             if all(self.is_degenerate(Z) for Z in g.connected_components(full ^ W)):
                 out.add(W)
         return frozenset(out)
+
+    @cached_property
+    def extended_values(self) -> list[int]:
+        """The extended V-function per subcurve mask; see
+        :func:`extended_value_table`."""
+        table = [0] * (self.graph.full_mask + 1)
+        for Y in range(1, len(table)):
+            table[Y] = self.extended_value(Y)
+        return table
 
     def extended_value(self, Y: int) -> int:
         """Value of the extended V-function on any nonempty subcurve.
@@ -252,14 +261,13 @@ class DegeneracySet:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
-        bcon = set(self.graph.biconnected_subcurves)
-        if not self.members <= bcon:
+        if not self.members <= self.graph.bcon_index.keys():
             raise DomainMismatch("members must be biconnected subcurves")
         full = self.graph.full_mask
         for Y in self.members:
             if full ^ Y not in self.members:
                 raise ValueError(f"not closed under complement at {Y:b}")
-        for A, B, U in _admissible_pairs(self.graph):
+        for A, B, U in self.graph.admissible_pairs:
             if A in self.members and B in self.members and U not in self.members:
                 raise ValueError(
                     f"not closed under disjoint union at {A:b}, {B:b}"
@@ -272,68 +280,8 @@ class DegeneracySet:
         return len(self.members)
 
 
-# -- shared enumeration helpers ------------------------------------------------
-
-
-def _covering_triples(g: DualGraph) -> tuple[tuple[int, int, int], ...]:
-    """Unordered triples of pairwise-disjoint biconnected subcurves covering
-    the whole curve, cached on the graph."""
-    cache = getattr(g, "_triple_cache", None)
-    if cache is not None:
-        return cache
-    bcon = g.biconnected_subcurves
-    bset = set(bcon)
-    full = g.full_mask
-    seen = set()
-    out = []
-    for i, Y1 in enumerate(bcon):
-        for Y2 in bcon[i + 1:]:
-            if Y1 & Y2:
-                continue
-            Y3 = full ^ (Y1 | Y2)
-            if Y3 == 0 or Y3 not in bset:
-                continue
-            key = frozenset((Y1, Y2, Y3))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(tuple(sorted((Y1, Y2, Y3))))
-    result = tuple(sorted(out))
-    object.__setattr__(g, "_triple_cache", result)
-    return result
-
-
-def _admissible_pairs(g: DualGraph) -> tuple[tuple[int, int, int], ...]:
-    """Unordered disjoint biconnected pairs whose union is biconnected,
-    listed as (Y1, Y2, union), cached on the graph."""
-    cache = getattr(g, "_pair_cache", None)
-    if cache is not None:
-        return cache
-    bcon = g.biconnected_subcurves
-    bset = set(bcon)
-    out = []
-    for i, Y1 in enumerate(bcon):
-        for Y2 in bcon[i + 1:]:
-            if Y1 & Y2:
-                continue
-            U = Y1 | Y2
-            if U in bset:
-                out.append((Y1, Y2, U))
-    result = tuple(out)
-    object.__setattr__(g, "_pair_cache", result)
-    return result
-
-
 def extended_value_table(s: VStability) -> list[int]:
     """Extended V-function tabulated over every subcurve mask (index =
-    mask), built on first demand for hot loops and stashed on the
-    stability; the empty subcurve is mapped to 0 for the callers'
-    convenience."""
-    table = s.__dict__.get("_ext_table")
-    if table is None:
-        g = s.graph
-        table = [0] * (g.full_mask + 1)
-        for Y in range(1, g.full_mask + 1):
-            table[Y] = s.extended_value(Y)
-        s.__dict__["_ext_table"] = table
-    return table
+    mask), built once per stability for hot loops; the empty subcurve is
+    mapped to 0 for the callers' convenience."""
+    return s.extended_values

@@ -52,7 +52,7 @@ from vstab.sheaves import (
     relative_extended_value,
     tight_unsplit_witnesses,
 )
-from vstab.stability import DegeneracySet, extended_value_table, _admissible_pairs
+from vstab.stability import DegeneracySet, extended_value_table
 
 from fractions import Fraction
 import random
@@ -255,12 +255,11 @@ def _window_assignments(g, prune):
 
     if prune == "unions":
         cons = [[] for _ in pairs]
-        for A, B, U in _admissible_pairs(g):
+        for A, B, U in g.admissible_pairs:
             cons[max(pair_of[A], pair_of[B], pair_of[U])].append((A, B, U))
     else:
-        from vstab.stability import _covering_triples
         cons = [[] for _ in pairs]
-        for T in _covering_triples(g):
+        for T in g.covering_triples:
             cons[max(pair_of[Z] for Z in T)].append(T)
 
     values = {}

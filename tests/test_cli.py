@@ -4,6 +4,8 @@ import pytest
 
 from vstab import DualGraph, SheafData, VStability
 from vstab.cli import main
+from vstab.posets import enumerate_orbits, translate
+from vstab.sheaves import enumerate_semistable
 from vstab.serialize import (
     SchemaError,
     graph_from_json,
@@ -185,8 +187,91 @@ class TestDeterminism:
     def test_byte_identical_outputs(self, banana_files, capsys):
         graph, stability = banana_files
         spath = stability({1: 0, 2: 0})
-        main(["enum-orbits", "--graph", graph, "--seed", "7"])
+        main(["enum-orbits", "--graph", graph])
         first = capsys.readouterr().out
-        main(["enum-orbits", "--graph", graph, "--seed", "7"])
+        main(["enum-orbits", "--graph", graph])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestWindowAndBounds:
+    def test_window_zero_is_the_box_at_zero(self, banana_files, capsys):
+        graph, stability = banana_files
+        s = translate(enumerate_orbits(banana())[0], (2, 0))
+        path = stability(s.as_dict(), chi=s.chi)
+        expected = enumerate_semistable(
+            banana(), s, full_support_only=True, degree_window=0
+        )
+        assert main(["semistable", "--graph", graph, "--stability", path,
+                     "--window", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["semistable"]) == len(expected) == 0
+        assert main(["semistable", "--graph", graph, "--stability", path,
+                     "--window", "3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["semistable"]) == 8
+
+    def test_negative_window_exits_two(self, banana_files, capsys):
+        graph, stability = banana_files
+        code = main(["semistable", "--graph", graph,
+                     "--stability", stability({1: 0, 2: 0}), "--window", "-1"])
+        assert code == 2
+        assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_scan_bound_exits_two(self, bound, capsys):
+        assert main(["qdeg-scan", "--max-vertices", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-vertices" in captured.err
+
+
+class TestStrictSchemas:
+    def test_negative_multidegree_key(self):
+        doc = {"support": [0, 1], "multidegree": {"-1": 5, "0": 0}, "nonfree": []}
+        with pytest.raises(SchemaError):
+            sheaf_from_json(banana(), doc)
+
+    @pytest.mark.parametrize("key", ["2", "01", " 1", "x"])
+    def test_multidegree_key_must_name_a_component(self, key):
+        doc = {"support": [0, 1], "multidegree": {key: 1}, "nonfree": []}
+        with pytest.raises(SchemaError):
+            sheaf_from_json(banana(), doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"support": [0, 1], "multidegree": [0, 0], "nonfree": []},
+        {"support": [0, 5], "multidegree": {"0": 0}, "nonfree": []},
+    ])
+    def test_malformed_sheaf(self, doc):
+        with pytest.raises(SchemaError):
+            sheaf_from_json(banana(), doc)
+
+    def test_fractional_edge_endpoint(self):
+        with pytest.raises(SchemaError):
+            graph_from_json({"genera": [0, 0], "edges": [[0, 1.7]]})
+
+    @pytest.mark.parametrize("genus", [1.0, True, "1"])
+    def test_genus_must_be_an_integer(self, genus):
+        with pytest.raises(SchemaError):
+            graph_from_json({"genera": [genus, 0], "edges": [[0, 1]]})
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"genera": [0, 0], "edges": [[0, 1.7], [0, 1]]}')
+        assert main(["enum-orbits", "--graph", str(graph)]) == 2
+        assert "edge endpoint" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--graph", "g.json", "--stability", "s.json", "--chi", "3"],
+        ["enum-orbits", "--graph", "g.json", "--seed", "7"],
+        ["enum-deg", "--graph", "g.json", "--format", "dot"],
+        ["classical", "--graph", "g.json", "--stability", "s.json", "--window", "2"],
+        ["normal-form", "--graph", "g.json", "--stability", "s.json", "--mod-symmetry"],
+        ["limit", "--graph", "g.json", "--stability", "s.json",
+         "--multidegree", "0,0", "--max-vertices", "3"],
+        ["qdeg-scan", "--seed", "1"],
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -1,0 +1,153 @@
+"""Golden CLI outputs: exit code and stdout sha256 per subcommand.
+
+The digests pin byte-identical output of every subcommand that reads a
+fixture file on the banana and K4 curves.  A change to any of them is a
+change of observable behaviour and must be deliberate.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from vstab.cli import main
+
+BANANA = {"genera": [0, 0], "edges": [[0, 1], [0, 1]]}
+K4 = {
+    "genera": [0, 0, 0, 0],
+    "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+}
+
+
+def _stability(chi, values):
+    return {
+        "chi": chi,
+        "values": [{"subcurve": list(Y), "s": v} for Y, v in values],
+    }
+
+
+K4_SUBCURVES = (
+    (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2),
+    (3,), (0, 3), (1, 3), (0, 1, 3), (2, 3), (0, 2, 3), (1, 2, 3),
+)
+K4_VALUES = (0, 1, 0, 0, -1, 0, 0, 3, 2, 3, 3, 3, 2, 3)
+
+FIXTURES = {
+    "banana": {
+        "graph": BANANA,
+        "stability": _stability(0, [((0,), 0), ((1,), 0)]),
+        "shifted": _stability(2, [((0,), 2), ((1,), 0)]),
+        "invalid": _stability(0, [((0,), 0), ((1,), 2)]),
+        "sheaf": {"support": [0, 1], "multidegree": {"0": 0, "1": 0}, "nonfree": []},
+        "partition": "1|0",
+        "multidegree": "5,-5",
+    },
+    "K4": {
+        "graph": K4,
+        "stability": _stability(2, zip(K4_SUBCURVES, K4_VALUES)),
+        "shifted": _stability(2, zip(K4_SUBCURVES, K4_VALUES)),
+        "invalid": _stability(2, zip(K4_SUBCURVES, (5,) + K4_VALUES[1:])),
+        "sheaf": {
+            "support": [0, 1, 2, 3],
+            "multidegree": {"0": 2, "1": 1, "2": 0, "3": 1},
+            "nonfree": [0],
+        },
+        "partition": "0,1|2,3",
+        "multidegree": "7,-3,2,-2",
+    },
+}
+
+# argv after the subcommand; {name} is replaced by the fixture file path
+COMMANDS = {
+    "validate": ["validate", "--stability", "{stability}"],
+    "validate-invalid": ["validate", "--stability", "{invalid}"],
+    "classical": ["classical", "--stability", "{stability}"],
+    "semistable": ["semistable", "--stability", "{stability}"],
+    "semistable-all-supports": ["semistable", "--stability", "{stability}", "--all-supports"],
+    "semistable-window": ["semistable", "--stability", "{shifted}", "--window", "2"],
+    "limit": ["limit", "--stability", "{stability}", "--multidegree", "{multidegree}"],
+    "specialize": ["specialize", "--sheaf", "{sheaf}", "--partition", "{partition}"],
+    "normal-form": ["normal-form", "--stability", "{shifted}"],
+    "poset-deg-dot": ["poset", "--kind", "deg", "--format", "dot"],
+    "poset-deg-table": ["poset", "--kind", "deg", "--format", "table"],
+    "poset-vstab-dot": ["poset", "--kind", "vstab", "--format", "dot"],
+    "poset-vstab-table": ["poset", "--kind", "vstab", "--format", "table"],
+}
+
+# (exit code, sha256 of stdout), recorded before the component-search and
+# cache refactor of the library
+GOLDEN = {
+    ('K4', 'classical'):
+        (0, "0d4b67428474b4b53c49676d159f484d21c4e7a9b0dc95f162dc2633501d8c05"),
+    ('K4', 'limit'):
+        (0, "c7b517fa716179f5ee9a9cfb2c4246e35d2ce8bc22cc21b3db16b27d866dbf9a"),
+    ('K4', 'normal-form'):
+        (0, "71a1a3cb81fc3d155da7ba8be54b600e8483c5b4c8999ae6534ca61e9bd9e490"),
+    ('K4', 'poset-deg-dot'):
+        (0, "99717ce652d5db9b945d1e79b4c80dd262e136d0dd55421960c5590ee64c4392"),
+    ('K4', 'poset-deg-table'):
+        (0, "c7205987fca8bcda06730ea07ac499edc40459d50a6661424f7430b92b8abf91"),
+    ('K4', 'poset-vstab-dot'):
+        (0, "6787b49571caa05dbaff4468bdf1458a5c3d1fa5b8e941a81cdb370ba73dd551"),
+    ('K4', 'poset-vstab-table'):
+        (0, "6e274231ad7f03d052ec2b8bd843ee732ebf5b51ee40027b23c504c41cb1a185"),
+    ('K4', 'semistable'):
+        (0, "6391a593d75370bb48c445aed3cbafe62a381043091f55999e0e6e0d0f07928a"),
+    ('K4', 'semistable-all-supports'):
+        (0, "b4c0124ebc6ce90c083a2de967a84b1e0f6903bf69dae786113c44de65ae1873"),
+    ('K4', 'semistable-window'):
+        (0, "246a72ef71f69d223eb8a24a108927ad43a480f468178691ca2cfaa3c2518f8c"),
+    ('K4', 'specialize'):
+        (0, "a909caf96b75ea3f3a38684ab4ef179df853d5b0f06c6f2fe5d626d3454fcde0"),
+    ('K4', 'validate'):
+        (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ('K4', 'validate-invalid'):
+        (1, "7aa235777ae1cdb0022639f349c4463297cb5dd4d4872e03af18e5858074724d"),
+    ('banana', 'classical'):
+        (0, "9fb2c0a70d2a4f0bfb48ecd98275749a39bf4298d0fdfc2cdd347c94b8307481"),
+    ('banana', 'limit'):
+        (0, "13e4a7f0ffc023af49dd0ff53259e325d563f5de308202282c0cf016e963c200"),
+    ('banana', 'normal-form'):
+        (0, "c5b86c98e538f8907b1100dcb34489ddb694c2821bea3e98257c29f10e36c6f5"),
+    ('banana', 'poset-deg-dot'):
+        (0, "ade78674b97737cba62021997ff21b30cd2355d84b5941eda2e9a53c26743169"),
+    ('banana', 'poset-deg-table'):
+        (0, "9202e5666ba9f9be42d6ef3cd42cee8ef501b44cc022c0ecc8b5fd0036df9994"),
+    ('banana', 'poset-vstab-dot'):
+        (0, "4fc278ae746138b7e6ddacd0d1c7c31cf1ddc53e90eccf7d71a900e49cc343b0"),
+    ('banana', 'poset-vstab-table'):
+        (0, "6f3657255068415696fafb894d230cac725ec0648e7301f535533c2363883157"),
+    ('banana', 'semistable'):
+        (0, "8c72a5dc26772c8db5dbcb99a14264277253e22361e871b0e9e60ac13c8a26c0"),
+    ('banana', 'semistable-all-supports'):
+        (0, "83d2a3ade4fa4eb2b6e6550fa8afd1b3bcda772349e7ec0f3f2bb3255437a670"),
+    ('banana', 'semistable-window'):
+        (0, "f8f5463806ec9a7bc233350ee6df1fc2a1ba512a3ef7d9c1a11c9fb668d11447"),
+    ('banana', 'specialize'):
+        (0, "a9146f4ce873314fdd568ed2861b46b3d21b965a05d5789f1fe7e00218d39004"),
+    ('banana', 'validate'):
+        (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ('banana', 'validate-invalid'):
+        (1, "e146f08f8b3c93404796993dbe244ed672c3988ee1271251689a82b1486304c7"),
+}
+
+
+def run_case(tmp_path, fixture, command):
+    spec = FIXTURES[fixture]
+    paths = {}
+    for key in ("graph", "stability", "shifted", "invalid", "sheaf"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(spec[key]))
+        paths[key] = str(path)
+    fill = {**paths, "partition": spec["partition"], "multidegree": spec["multidegree"]}
+    argv = [arg.format(**fill) for arg in COMMANDS[command]]
+    return main(argv[:1] + ["--graph", paths["graph"]] + argv[1:])
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_golden_output(tmp_path, capsys, fixture, command):
+    code = run_case(tmp_path, fixture, command)
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[fixture, command]
