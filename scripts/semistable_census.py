@@ -43,7 +43,7 @@ def spanning_tree_count(g):
 
 
 def census(g, window=4):
-    need = -(g.n - sum(g.genera)) + len(g.edges)   # characteristic 0
+    need = -g.line_chi_base[g.full_mask]   # degree sum at characteristic 0
     vectors = [
         d for d in itertools.product(range(-window, window + 1), repeat=g.n)
         if sum(d) == need

@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import graphenum, limits, polarization, posets, serialize, sheaves
-from .errors import VstabError
-from .graphs import DualGraph, mask_of, vertices_of
+from .errors import InvalidPartition, VstabError
+from .graphs import DualGraph, vertices_of
 from .serialize import SchemaError
 from .stability import VStability
 
@@ -44,13 +44,22 @@ def _emit(doc):
     sys.stdout.write(serialize.dumps(doc))
 
 
-def _parse_subcurve_list(text: str) -> list[int]:
-    """Parts like "0,2|1" -> vertex masks."""
-    parts = []
-    for chunk in text.split("|"):
-        verts = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
-        parts.append(mask_of(verts))
-    return parts
+def _parse_partition(text: str, I: sheaves.SheafData) -> sheaves.OrderedPartition:
+    """Parts like "0,2|1" as an ordered partition of the sheaf's support."""
+    parts = tuple(
+        serialize.vertex_mask(
+            (int(tok) for tok in chunk.split(",") if tok.strip() != ""),
+            I.graph.n, "--partition vertex",
+        )
+        for chunk in text.split("|")
+    )
+    try:
+        P = sheaves.OrderedPartition(parts)
+        if P.union != I.support:
+            raise InvalidPartition("parts must cover the sheaf support")
+    except InvalidPartition as exc:
+        raise SchemaError(f"--partition {text!r}: {exc}") from exc
+    return P
 
 
 # -- commands ---------------------------------------------------------------------
@@ -213,8 +222,7 @@ def cmd_limit(args) -> int:
 def cmd_specialize(args) -> int:
     g = _graph(args)
     I = serialize.sheaf_from_json(g, _load_json(args.sheaf))
-    parts = _parse_subcurve_list(args.partition)
-    J = sheaves.gr_specialize(I, sheaves.OrderedPartition(tuple(parts)))
+    J = sheaves.gr_specialize(I, _parse_partition(args.partition, I))
     _emit(serialize.sheaf_to_json(J))
     return EXIT_OK
 
@@ -236,6 +244,8 @@ def cmd_normal_form(args) -> int:
 def cmd_qdeg_scan(args) -> int:
     if args.max_vertices <= 0:
         raise ValueError("--max-vertices must be positive")
+    if args.max_edges < 0:
+        raise ValueError("--max-edges must be non-negative")
     for g in graphenum.connected_multigraphs(args.max_vertices, args.max_edges):
         report = posets.qdeg_scan(g)
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")

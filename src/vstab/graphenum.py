@@ -23,22 +23,17 @@ def canonical_edge_form(n: int, edges) -> tuple:
     return best
 
 
-def connected_multigraphs(
-    max_vertices: int,
-    max_edges: int,
-    *,
-    include_loops: bool = False,
-) -> list[DualGraph]:
-    """All connected multigraphs with at most the given vertices and edges,
-    one representative per isomorphism class, genera all zero.
+def connected_multigraphs(max_vertices: int, max_edges: int) -> list[DualGraph]:
+    """All loopless connected multigraphs with at most the given vertices
+    and edges, one representative per isomorphism class, genera all zero.
 
-    Loops are skipped by default: they are invisible to the subcurve
+    Loops are never generated: they are invisible to the subcurve
     combinatorics (connectivity, biconnectedness, stability) and only
     shift genus bookkeeping.
     """
     out = []
     for n in range(1, max_vertices + 1):
-        slots = [(i, j) for i in range(n) for j in range(i + (0 if include_loops else 1), n)]
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
         full = (1 << n) - 1
         seen = set()
         for m in range(n - 1, max_edges + 1):

@@ -231,14 +231,18 @@ class DualGraph:
 
     # -- edge counting ----------------------------------------------------
 
-    def edges_between(self, A: int, B: int) -> int:
-        """Number of edges joining disjoint A and B, with multiplicity."""
+    def crossing_edges(self, A: int, B: int) -> tuple[int, ...]:
+        """Indices of the edges joining disjoint A and B, ascending."""
         if A & B:
             raise OverlappingSubcurves(f"subcurves {A:b} and {B:b} overlap")
-        mult = self.multiplicity
-        return sum(
-            mult[u][v] for u in vertices_of(A) for v in vertices_of(B)
+        return tuple(
+            i for i, (u, v) in enumerate(self.edges)
+            if ((A >> u) & 1 and (B >> v) & 1) or ((A >> v) & 1 and (B >> u) & 1)
         )
+
+    def edges_between(self, A: int, B: int) -> int:
+        """Number of edges joining disjoint A and B, with multiplicity."""
+        return len(self.crossing_edges(A, B))
 
     def internal_edges(self, Y: int) -> tuple[int, ...]:
         """Indices of edges with both endpoints in Y; loops at Y included."""

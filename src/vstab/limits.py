@@ -36,9 +36,7 @@ def twist(g: DualGraph, d, Y: int) -> Multidegree:
 
 def line_bundle_chi(g: DualGraph, d, Z: int) -> int:
     """chi of the restriction to Z of the line bundle with multidegree d."""
-    return sum(
-        d[v] + 1 - g.genera[v] for v in vertices_of(Z)
-    ) - g.internal_edge_count(Z)
+    return g.line_chi_base[Z] + sum(d[v] for v in vertices_of(Z))
 
 
 def beta(d, s: VStability, Z: int) -> int:
@@ -190,9 +188,8 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
             tried.append(Y)
             d2 = twist(g, d, Y)
             nb = _beta_all(g, d2, ext)
-            for Z in range(1, full + 1):
-                if nb[Z] < old_min or (nb[Z] == old_min and Z & ~Y):
-                    raise AssertionError("post-twist beta inequality violated")
+            if not _post_twist_holds(nb, old_min, Y):
+                raise AssertionError("post-twist beta inequality violated")
             if sum(d2) != sum(d0):
                 raise AssertionError("twist changed the total degree")
             steps.append(LimitStep(Y, old_min, d2))
@@ -251,18 +248,20 @@ def _monotone_completion(g, s, ext, d0, betas0, cap):
     node = goal
     while parent[node] is not None:
         prev, Y, m = parent[node]
-        lemma = _full_inequality_holds(g, ext, m, node, Y)
+        lemma = _post_twist_holds(_beta_all(g, node, ext), m, Y)
         chain.append(LimitStep(Y, m, node, lemma))
         node = prev
     chain.reverse()
     return goal, LimitTrace(d0, tuple(chain), goal)
 
 
-def _full_inequality_holds(g, ext, old_min, d_new, Y) -> bool:
-    betas = _beta_all(g, d_new, ext)
+def _post_twist_holds(betas, old_min: int, Y: int) -> bool:
+    """The lemma's post-twist inequality for the betas after twisting by Y:
+    at least the previous minimum on every nonempty subcurve, strictly
+    above it off Y."""
     return all(
         betas[Z] > old_min or (betas[Z] == old_min and not Z & ~Y)
-        for Z in range(1, g.full_mask + 1)
+        for Z in range(1, len(betas))
     )
 
 

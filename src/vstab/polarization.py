@@ -215,16 +215,9 @@ def _fm_witness(inequalities, nvars):
     interval midpoints.
     """
     live = {}
-    ground_ok = True
     for row, rhs, strict in inequalities:
-        key, bound = _normalize(row, rhs)
-        if all(c == 0 for c in key):
-            if (bound <= 0) if strict else (bound < 0):
-                ground_ok = False
-            continue
-        live[key] = _tighter(live.get(key), (bound, strict))
-    if not ground_ok:
-        return None
+        if not _admit(live, row, rhs, strict):
+            return None
 
     stages = []
     current = [(k, b, st) for k, (b, st) in live.items()]
@@ -234,7 +227,6 @@ def _fm_witness(inequalities, nvars):
         lowers = [(k, b, st) for k, b, st in current if k[var] < 0]
         rest = [(k, b, st) for k, b, st in current if k[var] == 0]
         live = {}
-        ground_ok = True
         for k, b, st in rest:
             live[k] = _tighter(live.get(k), (b, st))
         for ku, bu, stu in uppers:
@@ -243,16 +235,8 @@ def _fm_witness(inequalities, nvars):
                 row = tuple(
                     Fraction(c * ku[i] + a * kl[i]) for i in range(nvars)
                 )
-                rhs = c * bu + a * bl
-                strict = stu or stl
-                key, bound = _normalize(row, rhs)
-                if all(x == 0 for x in key):
-                    if (bound <= 0) if strict else (bound < 0):
-                        ground_ok = False
-                    continue
-                live[key] = _tighter(live.get(key), (bound, strict))
-        if not ground_ok:
-            return None
+                if not _admit(live, row, c * bu + a * bl, stu or stl):
+                    return None
         current = [(k, b, st) for k, (b, st) in live.items()]
 
     values = [Fraction(0)] * nvars
@@ -285,6 +269,17 @@ def _fm_witness(inequalities, nvars):
         else:
             values[var] = Fraction(0)
     return values
+
+
+def _admit(live, row, rhs, strict) -> bool:
+    """Normalise a row into ``live``, keeping the tighter bound per
+    left-hand side; a row with no variables is checked instead, and False
+    means it is violated, so the system is infeasible."""
+    key, bound = _normalize(row, rhs)
+    if not any(key):
+        return bound > 0 if strict else bound >= 0
+    live[key] = _tighter(live.get(key), (bound, strict))
+    return True
 
 
 def _tighter(old, new):

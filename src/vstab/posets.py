@@ -340,26 +340,25 @@ def normal_form(s: VStability) -> tuple[VStability, tuple[int, ...]]:
     side depending on degeneracy.  Returns (representative, tau) with
     representative == translate(s, tau)."""
     s._require_valid()
-    g = s.graph
-    tree = g.spanning_tree
-    full = g.full_mask
+    full = s.graph.full_mask
     # target tau-sum over each child subtree
-    target = {}
-    for (p, c), child in zip(tree.edges, tree.child_masks):
-        parent_side = full ^ child
-        if s.is_degenerate(parent_side):
-            target[c] = -s.value(child)
-        else:
-            target[c] = -s.value(child) + 1
-    subtree_total = {0: -s.chi}
-    subtree_total.update(target)
-    tau = [0] * g.n
-    for v in range(g.n):
-        tau[v] = subtree_total[v] - sum(
-            subtree_total[c] for c in tree.children[v]
-        )
-    nf = translate(s, tau)
-    return nf, tuple(tau)
+    tau = _tau_from_subtree_totals(s.graph, -s.chi, [
+        -s.value(child) + (0 if s.is_degenerate(full ^ child) else 1)
+        for child in s.graph.spanning_tree.child_masks
+    ])
+    return translate(s, tau), tuple(tau)
+
+
+def _tau_from_subtree_totals(g: DualGraph, whole: int, per_child) -> list[int]:
+    """The vector tau with the given sum over the whole curve and over the
+    subtree under each child of the spanning tree (in tree-edge order)."""
+    tree = g.spanning_tree
+    subtree_total = {0: whole}
+    subtree_total.update(zip((c for _, c in tree.edges), per_child))
+    return [
+        subtree_total[v] - sum(subtree_total[c] for c in tree.children[v])
+        for v in range(g.n)
+    ]
 
 
 def orbit_equal(s: VStability, t: VStability) -> bool:
@@ -378,16 +377,10 @@ def translation_witness(s: VStability, t: VStability, bound: Optional[int] = Non
     """
     if s.graph != t.graph:
         return None
-    g = s.graph
-    tree = g.spanning_tree
-    subtree_total = {0: t.chi - s.chi}
-    for (p, c), child in zip(tree.edges, tree.child_masks):
-        subtree_total[c] = t.value(child) - s.value(child)
-    tau = [0] * g.n
-    for v in range(g.n):
-        tau[v] = subtree_total[v] - sum(
-            subtree_total[c] for c in tree.children[v]
-        )
+    tau = _tau_from_subtree_totals(s.graph, t.chi - s.chi, [
+        t.value(child) - s.value(child)
+        for child in s.graph.spanning_tree.child_masks
+    ])
     if translate(s, tau) != t:
         return None
     if bound is not None and any(abs(x) > bound for x in tau):
@@ -513,25 +506,23 @@ class HasseDiagram:
 
 
 def hasse(elements: list, leq: Callable, label: Callable = str) -> HasseDiagram:
-    """Hasse diagram of a finite poset given by a leq predicate."""
+    """Hasse diagram of a finite poset given by a leq predicate, which is
+    asked once for every ordered pair of distinct elements."""
     n = len(elements)
-    lt = [[False] * n for _ in range(n)]
+    above = [0] * n     # bit j set in above[i] iff leq(elements[i], elements[j])
+    below = [0] * n     # the transpose
     for i in range(n):
         for j in range(n):
             if i != j and leq(elements[i], elements[j]):
-                lt[i][j] = True
-    for i in range(n):
-        for j in range(n):
-            if lt[i][j] and lt[j][i]:
-                raise NotAPartialOrder("relation is not antisymmetric")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if lt[i][j] and lt[j][k] and not lt[i][k]:
-                    raise NotAPartialOrder("relation is not transitive")
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    if any(above[i] & below[i] for i in range(n)):
+        raise NotAPartialOrder("relation is not antisymmetric")
+    if any(above[j] & ~above[i] for i in range(n) for j in vertices_of(above[i])):
+        raise NotAPartialOrder("relation is not transitive")
     covers = tuple(
-        (i, j) for i in range(n) for j in range(n)
-        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+        (i, j) for i in range(n) for j in vertices_of(above[i])
+        if not above[i] & below[j]
     )
     return HasseDiagram(tuple(label(e) for e in elements), covers)
 
@@ -613,30 +604,17 @@ def qdeg_scan(g: DualGraph) -> dict:
     stability orbits onto it surjective?"""
     degs = enumerate_degeneracy_subsets(g)
     k = len(degs)
-    ge_row = [0] * k        # bit j set in ge_row[i] iff D_i > D_j
-    for i in range(k):
-        for j in range(k):
-            if i != j and degs[i].members <= degs[j].members and deg_leq(degs[i], degs[j]):
-                ge_row[i] |= 1 << j
-    is_po = True
-    for i in range(k):
-        for j in vertices_of(ge_row[i]):
-            if (ge_row[j] >> i) & 1 or ge_row[j] & ~ge_row[i]:
-                is_po = False
-                break
-        if not is_po:
-            break
-    ranked = rank = None
-    if is_po:
-        up_col = [0] * k     # bit l set in up_col[j] iff D_l > D_j
-        for i in range(k):
-            for j in vertices_of(ge_row[i]):
-                up_col[j] |= 1 << i
-        covers = [
-            (j, i) for i in range(k) for j in vertices_of(ge_row[i])
-            if not ge_row[i] & up_col[j]
-        ]
-        ranked, rank = _all_maximal_chains_equal(k, covers)
+    try:
+        # inclusion is necessary for dominance and far cheaper to test; the
+        # scan reads only the covers, so the labels are left empty
+        diagram = hasse(
+            degs, lambda a, b: a.members <= b.members and deg_leq(a, b), label=lambda d: ""
+        )
+    except NotAPartialOrder:
+        is_po, ranked, rank = False, None, None
+    else:
+        is_po = True
+        ranked, rank = _all_maximal_chains_equal(k, diagram.covers)
     reps = enumerate_orbits(g)
     realized = {s.degeneracy_set().members for s in reps}
     surjective = {d.members for d in degs} <= realized

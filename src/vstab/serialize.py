@@ -13,17 +13,19 @@ Vertices are 0-based, loops appear as [v, v], edge indices point into the
 canonical sorted edge list, and subcurves are sorted vertex lists.  All
 emitters sort their output, so serialization is canonical.  Readers take
 every integer as a JSON integer (never a bool, float or string), apart
-from the string-encoded psi entries, and multidegree keys only as the
-decimal indices "0".."n-1"; anything else is a SchemaError.
+from the psi entries, which are strings of decimal digits with an optional
+minus sign; vertices must lie in 0..n-1, and multidegree keys are only the
+decimal indices "0".."n-1".  Anything else is a SchemaError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
-from .errors import DomainMismatch
-from .graphs import DualGraph, mask_of, vertices_of
+from .errors import DomainMismatch, InvalidPolarization
+from .graphs import DualGraph, vertices_of
 from .limits import LimitTrace
 from .polarization import NumericalPolarization
 from .posets import HasseDiagram
@@ -46,6 +48,28 @@ def _int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def vertex_mask(vertices, n: int, what: str = "vertex") -> int:
+    """Subcurve mask of vertex indices, each a JSON integer in 0..n-1;
+    every index is checked before its bit is set."""
+    mask = 0
+    for x in vertices:
+        v = _int(x, what)
+        if not 0 <= v < n:
+            raise SchemaError(f"{what} {v} is not a component 0..{n - 1}")
+        mask |= 1 << v
+    return mask
+
+
+def _fraction(entry) -> Fraction:
+    """A psi entry: a [numerator, denominator] pair of strings, each of
+    decimal digits with an optional minus sign."""
+    if not (isinstance(entry, list) and len(entry) == 2 and all(
+        isinstance(x, str) and re.fullmatch("-?[0-9]+", x) for x in entry
+    )):
+        raise SchemaError(f"psi entry must be a pair of integer strings, got {entry!r}")
+    return Fraction(int(entry[0]), int(entry[1]))
 
 
 # -- graphs ------------------------------------------------------------------
@@ -86,7 +110,7 @@ def stability_from_json(g: DualGraph, doc: dict) -> VStability:
     mapping = {}
     try:
         for entry in entries:
-            Y = mask_of(_int(v, "vertex") for v in _need(entry, "subcurve"))
+            Y = vertex_mask(_need(entry, "subcurve"), g.n)
             mapping[Y] = _int(_need(entry, "s"), "stability value")
         return VStability.from_dict(g, _int(chi, "chi"), mapping)
     except DomainMismatch as exc:
@@ -109,9 +133,9 @@ def polarization_from_json(g: DualGraph, doc: dict) -> NumericalPolarization:
     chi = _need(doc, "chi")
     raw = _need(doc, "psi")
     try:
-        psi = tuple(Fraction(int(num), int(den)) for num, den in raw)
+        psi = tuple(_fraction(entry) for entry in raw)
         return NumericalPolarization(g, _int(chi, "chi"), psi)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (InvalidPolarization, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad polarization document: {exc}") from exc
 
 
@@ -135,7 +159,9 @@ def sheaf_from_json(g: DualGraph, doc: dict) -> SheafData:
     if not isinstance(degs, dict):
         raise SchemaError("multidegree must be an object keyed by component")
     try:
-        mask = mask_of(_int(v, "vertex") for v in support)
+        mask = vertex_mask(support, g.n, "support vertex")
+        if not mask:
+            raise SchemaError("the support must be nonempty")
         component = {str(v): v for v in range(g.n)}
         d = [0] * g.n
         for key, val in degs.items():
@@ -174,8 +200,8 @@ def hasse_to_json(h: HasseDiagram) -> dict:
     }
 
 
-def hasse_to_dot(h: HasseDiagram, name: str = "poset") -> str:
-    lines = [f"digraph {name} {{"]
+def hasse_to_dot(h: HasseDiagram) -> str:
+    lines = ["digraph poset {"]
     for i, label in enumerate(h.labels):
         lines.append(f'  n{i} [label="{label}"];')
     for lo, hi in h.covers:

@@ -30,9 +30,9 @@ from .errors import (
     InvalidPartition,
     NotPolystable,
     NotSemistable,
-    OverlappingSubcurves,
 )
 from .graphs import DualGraph, adjacency_masks, components, vertices_of
+from .limits import line_bundle_chi
 from .stability import VStability
 
 
@@ -67,12 +67,8 @@ class SheafData:
     # -- Euler characteristics ------------------------------------------------
 
     def euler_char(self) -> int:
-        g = self.graph
-        free_internal = g.internal_edge_count(self.support) - len(self.nonfree)
-        return sum(
-            self.multidegree[v] + 1 - g.genera[v]
-            for v in vertices_of(self.support)
-        ) - free_internal
+        # separating a non-free node (internal by construction) adds one
+        return line_bundle_chi(self.graph, self.multidegree, self.support) + len(self.nonfree)
 
     def euler_char_on(self, Y: int) -> int:
         """chi of the torsion-free restriction to Y (met with the support)."""
@@ -99,16 +95,11 @@ class SheafData:
         g = self.graph
         restricted = self.restrict(Y)
         inner = restricted.support
-        outer = self.support & ~inner
         d = list(restricted.multidegree)
-        for e in g.internal_edges(self.support):
-            if e in self.nonfree:
-                continue
-            u, v = g.edges[e]
-            if (inner >> u) & 1 and (outer >> v) & 1:
-                d[u] -= 1
-            elif (inner >> v) & 1 and (outer >> u) & 1:
-                d[v] -= 1
+        for e in g.crossing_edges(inner, self.support & ~inner):
+            if e not in self.nonfree:
+                u, v = g.edges[e]
+                d[u if (inner >> u) & 1 else v] -= 1
         return SheafData(g, inner, tuple(d), restricted.nonfree)
 
     # -- splitting structure -------------------------------------------------------
@@ -116,18 +107,10 @@ class SheafData:
     def splits_at(self, Y: int) -> bool:
         """Whether the sheaf is a direct sum along Y: every node joining Y
         to the complementary part of the support is non-free."""
-        g = self.graph
         inner = Y & self.support
-        outer = self.support & ~inner
-        for e in g.internal_edges(self.support):
-            u, v = g.edges[e]
-            crosses = (
-                ((inner >> u) & 1 and (outer >> v) & 1)
-                or ((inner >> v) & 1 and (outer >> u) & 1)
-            )
-            if crosses and e not in self.nonfree:
-                return False
-        return True
+        return self.nonfree.issuperset(
+            self.graph.crossing_edges(inner, self.support & ~inner)
+        )
 
     @cached_property
     def canonical_pieces(self) -> tuple["SheafData", ...]:
@@ -213,15 +196,9 @@ def is_stable(I: SheafData, s: VStability) -> bool:
     and never stable; the per-component inequalities are only tested on a
     connected support.
     """
-    comps = _component_data(I, s)
-    if len(comps) != 1 or not is_semistable(I, s):
+    if len(_component_data(I, s)) != 1 or not is_semistable(I, s):
         return False
-    dhat = s.extended_degeneracy
-    for Yi in comps:
-        for Z in I.graph.biconnected_within(Yi):
-            if Z in dhat and I.euler_char_on(Z) == s.extended_value(Z):
-                return False
-    return True
+    return next(_tight_pieces(I, s), None) is None
 
 
 def relative_extended_value(s: VStability, Y: int, W: int) -> int:
@@ -265,7 +242,7 @@ def is_polystable_via_extended(I: SheafData, s: VStability) -> bool:
             if Z == Yi or not in_relative_dhat(s, Yi, Z):
                 continue
             tight = I.euler_char_on(Z) == relative_extended_value(s, Yi, Z)
-            if tight and not _splits_within(I, Yi, Z):
+            if tight and not I.splits_at(Z):
                 return False
     return True
 
@@ -290,18 +267,7 @@ def _connected_within(g: DualGraph, Y: int) -> list[int]:
     """Nonempty connected subcurves of Y, as subcurves of the ambient graph
     (the restricted stability's extended degeneracy set is the ambient one
     met with these)."""
-    out = []
-    Z = Y
-    while Z:
-        if g.is_connected(Z):
-            out.append(Z)
-        Z = (Z - 1) & Y
-    return out
-
-
-def _splits_within(I: SheafData, Yi: int, Z: int) -> bool:
-    """Split test for the piece supported on Yi along Z."""
-    return I.restrict(Yi).splits_at(Z)
+    return [Z for Z in g.connected_subcurves if not Z & ~Y]
 
 
 # -- isotrivial specialization --------------------------------------------------------
@@ -315,25 +281,18 @@ def gr_specialize(I: SheafData, P: OrderedPartition) -> SheafData:
     if P.union != I.support:
         raise InvalidPartition("parts must partition the support")
     g = I.graph
-    parts = P.parts
     d = [0] * g.n
     nonfree = set()
     total = 0
-    for i, Y in enumerate(parts):
-        tail = 0
-        for W in parts[i:]:
-            tail |= W
+    tail = I.support     # the union of this part and the later ones
+    for Y in P.parts:
         piece = I.sub_part(tail).restrict(Y)
         total += piece.euler_char()
         for v in vertices_of(piece.support):
             d[v] = piece.multidegree[v]
-        nonfree |= piece.nonfree
-    for e in g.internal_edges(I.support):
-        u, v = g.edges[e]
-        pu = next((i for i, Y in enumerate(parts) if (Y >> u) & 1), None)
-        pv = next((i for i, Y in enumerate(parts) if (Y >> v) & 1), None)
-        if pu != pv:
-            nonfree.add(e)
+        tail ^= Y
+        # the nodes between this part and the later ones separate
+        nonfree |= piece.nonfree | set(g.crossing_edges(Y, tail))
     out = SheafData(g, I.support, tuple(d), frozenset(nonfree))
     if out.euler_char() != I.euler_char() or total != I.euler_char():
         raise AssertionError("graded pieces do not preserve chi")
@@ -357,16 +316,20 @@ def polystable_limit(I: SheafData, s: VStability) -> SheafData:
         current = gr_specialize(current, OrderedPartition((Z, rest)))
 
 
-def _tight_unsplit(I: SheafData, s: VStability) -> Iterator[int]:
-    """Tight degenerate pieces of the support components along which the
-    sheaf does not split: the witnesses that it is not polystable."""
+def _tight_pieces(I: SheafData, s: VStability) -> Iterator[int]:
+    """Degenerate biconnected pieces of the support components on which chi
+    meets the extended value: the witnesses that the sheaf is not stable."""
     dhat = s.extended_degeneracy
     for Yi in _component_data(I, s):
         for Z in I.graph.biconnected_within(Yi):
-            if Z not in dhat:
-                continue
-            if I.euler_char_on(Z) == s.extended_value(Z) and not _splits_within(I, Yi, Z):
+            if Z in dhat and I.euler_char_on(Z) == s.extended_value(Z):
                 yield Z
+
+
+def _tight_unsplit(I: SheafData, s: VStability) -> Iterator[int]:
+    """Tight pieces along which the sheaf does not split: the witnesses
+    that it is not polystable."""
+    return (Z for Z in _tight_pieces(I, s) if not I.splits_at(Z))
 
 
 def tight_unsplit_witnesses(I: SheafData, s: VStability) -> list[int]:
@@ -408,16 +371,8 @@ def extension_glue(
     g = J.graph
     if g != I.graph:
         raise DomainMismatch("summands live on different graphs")
-    if J.support & I.support:
-        raise OverlappingSubcurves("supports must be disjoint")
     support = J.support | I.support
-    boundary = set()
-    for e in g.internal_edges(support):
-        u, v = g.edges[e]
-        if ((J.support >> u) & 1 and (I.support >> v) & 1) or (
-            (J.support >> v) & 1 and (I.support >> u) & 1
-        ):
-            boundary.add(e)
+    boundary = set(g.crossing_edges(J.support, I.support))
     free_boundary = frozenset(int(e) for e in free_boundary)
     if not free_boundary <= boundary:
         raise ValueError("free boundary choice must consist of boundary nodes")
@@ -463,16 +418,13 @@ def enumerate_semistable(
         comps = g.connected_components(supp)
         if not all(c in dhat for c in comps):
             continue
-        internal = g.internal_edges(supp)
         verts = vertices_of(supp)
-        for nonfree in _subsets(internal):
+        for nonfree in _subsets(g.internal_edges(supp)):
             target = (
                 s.chi if supp == g.full_mask else
                 sum(s.extended_value(c) for c in comps)
             )
-            degsum = target - sum(1 - g.genera[v] for v in verts) + (
-                len(internal) - len(nonfree)
-            )
+            degsum = target - g.line_chi_base[supp] - len(nonfree)
             windows = []
             for v in verts:
                 if degree_window is not None:

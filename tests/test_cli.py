@@ -20,6 +20,8 @@ from vstab.serialize import (
 
 from conftest import banana, k4, triangle
 
+HUGE = 10 ** 30     # a vertex index whose mask bit would not fit in memory
+
 
 @pytest.fixture
 def banana_files(tmp_path):
@@ -217,11 +219,20 @@ class TestWindowAndBounds:
         assert code == 2
         assert "--window" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bound", ["0", "-3"])
-    def test_nonpositive_scan_bound_exits_two(self, bound, capsys):
-        assert main(["qdeg-scan", "--max-vertices", bound]) == 2
+    @pytest.mark.parametrize("flag, bound", [
+        pytest.param("--max-vertices", "0", id="0"),
+        pytest.param("--max-vertices", "-3", id="-3"),
+        pytest.param("--max-edges", "-4", id="max-edges--4"),
+    ])
+    def test_nonpositive_scan_bound_exits_two(self, flag, bound, capsys):
+        assert main(["qdeg-scan", flag, bound]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--max-vertices" in captured.err
+        assert captured.out == "" and flag in captured.err
+
+    def test_zero_max_edges_scans_the_single_vertex(self, capsys):
+        assert main(["qdeg-scan", "--max-vertices", "3", "--max-edges", "0"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["genera"], r["edges"]) for r in lines] == [([0], [])]
 
 
 class TestStrictSchemas:
@@ -239,6 +250,7 @@ class TestStrictSchemas:
     @pytest.mark.parametrize("doc", [
         {"support": [0, 1], "multidegree": [0, 0], "nonfree": []},
         {"support": [0, 5], "multidegree": {"0": 0}, "nonfree": []},
+        {"support": [], "multidegree": {}, "nonfree": []},
     ])
     def test_malformed_sheaf(self, doc):
         with pytest.raises(SchemaError):
@@ -258,6 +270,52 @@ class TestStrictSchemas:
         graph.write_text('{"genera": [0, 0], "edges": [[0, 1.7], [0, 1]]}')
         assert main(["enum-orbits", "--graph", str(graph)]) == 2
         assert "edge endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [[1.5, "1"], [True, "1"], [1, "1"], ["1", 2], "12"])
+    def test_psi_entries_are_integer_strings(self, entry):
+        doc = {"chi": 1, "psi": [entry, ["0", "1"], ["0", "1"]]}
+        with pytest.raises(SchemaError):
+            polarization_from_json(triangle(), doc)
+
+    def test_psi_sum_mismatch_is_a_schema_error(self):
+        doc = {"chi": 5, "psi": [["1", "1"], ["0", "1"], ["0", "1"]]}
+        with pytest.raises(SchemaError):
+            polarization_from_json(triangle(), doc)
+
+    def test_huge_subcurve_vertex_exits_two(self, banana_files, tmp_path, capsys):
+        # the index is range-checked before any mask is built
+        graph, _ = banana_files
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"chi": 0, "values": [
+            {"subcurve": [HUGE], "s": 0}, {"subcurve": [1], "s": 0}]}))
+        assert main(["validate", "--graph", graph, "--stability", str(path)]) == 2
+        assert str(HUGE) in capsys.readouterr().err
+
+
+SHEAF = {"support": [0, 1], "multidegree": {"0": 0, "1": 0}, "nonfree": []}
+
+
+class TestSpecializeInput:
+    @pytest.mark.parametrize("sheaf, partition, message", [
+        pytest.param({"support": [], "multidegree": {}, "nonfree": []}, "0|1",
+                     "support", id="empty-support"),
+        pytest.param(SHEAF, "0|0,1", "disjoint", id="overlap"),
+        pytest.param(SHEAF, "0||1", "nonempty", id="empty-part"),
+        pytest.param(SHEAF, "0", "cover", id="not-covering"),
+        pytest.param(SHEAF, "0|2", "--partition vertex 2", id="vertex-out-of-range"),
+        pytest.param(SHEAF, f"0|1,{HUGE}", str(HUGE), id="huge-partition-vertex"),
+        pytest.param({"support": [0, HUGE], "multidegree": {"0": 0}, "nonfree": []},
+                     "0", str(HUGE), id="huge-support-vertex"),
+    ])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, sheaf, partition, message):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(banana())))
+        path = tmp_path / "sheaf.json"
+        path.write_text(json.dumps(sheaf))
+        assert main(["specialize", "--graph", str(graph), "--sheaf", str(path),
+                     "--partition", partition]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 class TestFlags:

@@ -1,8 +1,10 @@
 """Golden CLI outputs: exit code and stdout sha256 per subcommand.
 
 The digests pin byte-identical output of every subcommand that reads a
-fixture file on the banana and K4 curves.  A change to any of them is a
-change of observable behaviour and must be deliberate.
+fixture file on the banana and K4 curves, plus a few larger or decorated
+cases: the degeneracy poset of C5, a small evidence scan, and chi
+bookkeeping on a curve with genera and a non-free loop.  A change to any
+of them is a change of observable behaviour and must be deliberate.
 """
 
 import hashlib
@@ -151,3 +153,51 @@ def test_golden_output(tmp_path, capsys, fixture, command):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[fixture, command]
+
+
+C5 = {"genera": [0] * 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
+# the banana with genera and a loop of conftest.genus_decorated; edge 2 is
+# the loop, non-free in the sheaf
+GENUS_DECORATED = {"genera": [1, 2], "edges": [[0, 1], [0, 1], [1, 1]]}
+LOOP_DOCS = {
+    "stability": _stability(0, [((0,), 0), ((1,), 0)]),
+    "sheaf": {"support": [0, 1], "multidegree": {"0": 1, "1": 2}, "nonfree": [2]},
+}
+
+# graph (None for qdeg-scan), argv after the subcommand with {name}
+# replaced by the path of LOOP_DOCS[name], and (exit code, sha256 of
+# stdout), recorded before the one-owner refactor of the subcurve rules
+EXTRA = {
+    "C5-poset-deg-json": (
+        C5, ["poset", "--kind", "deg"],
+        (0, "616010648b85de9cf588ef839b7776cb2c684038a8836dfc724df124fa194d2a")),
+    "C5-poset-deg-json-mod-symmetry": (
+        C5, ["poset", "--kind", "deg", "--mod-symmetry"],
+        (0, "a18c04f693c3e1c3703cb3e0526e5a20714b689295ead82b829b81400c6a57cd")),
+    "qdeg-scan-4-5": (
+        None, ["qdeg-scan", "--max-vertices", "4", "--max-edges", "5"],
+        (0, "3a96cd34feb1b5546881cbbb6125d99f9281ee8fd4873459ea73123e705d04ac")),
+    "loop-semistable-all-supports": (
+        GENUS_DECORATED, ["semistable", "--stability", "{stability}", "--all-supports"],
+        (0, "6ab567fead8a897b2779f6dadf15abd0d7af6c9ac02bf1473ce388da161d9510")),
+    "loop-specialize": (
+        GENUS_DECORATED, ["specialize", "--sheaf", "{sheaf}", "--partition", "1|0"],
+        (0, "6d189fd71cd4a14317d04e33f3eed980f8eae817448a39b5bf83fc36dbc94839")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTRA))
+def test_golden_extra_output(tmp_path, capsys, case):
+    graph, argv, golden = EXTRA[case]
+    paths = {}
+    for key, doc in LOOP_DOCS.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    argv = [arg.format(**paths) for arg in argv]
+    if graph is not None:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        argv[1:1] = ["--graph", str(path)]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == golden
