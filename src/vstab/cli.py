@@ -23,6 +23,12 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
+# The most edge multisets one qdeg-scan may walk (graphenum.walk_size),
+# checked before the walk starts.  It admits every scan with n <= 6 up to
+# 9 edges (1.40 M multisets) and n = 7 up to 7 edges (1.31 M), but not
+# n = 7 with 8 edges (4.76 M) or 9 edges (15.6 M).
+MAX_SCAN_WALK = 2_000_000
+
 
 def _load_json(path: str):
     try:
@@ -246,6 +252,11 @@ def cmd_qdeg_scan(args) -> int:
         raise ValueError("--max-vertices must be positive")
     if args.max_edges < 0:
         raise ValueError("--max-edges must be non-negative")
+    if graphenum.walk_size(args.max_vertices, args.max_edges, MAX_SCAN_WALK) > MAX_SCAN_WALK:
+        raise ValueError(
+            f"--max-vertices {args.max_vertices} --max-edges {args.max_edges} walks "
+            f"more than {MAX_SCAN_WALK} edge multisets; lower either flag"
+        )
     for g in graphenum.connected_multigraphs(args.max_vertices, args.max_edges):
         report = posets.qdeg_scan(g)
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")

@@ -15,7 +15,9 @@ emitters sort their output, so serialization is canonical.  Readers take
 every integer as a JSON integer (never a bool, float or string), apart
 from the psi entries, which are strings of decimal digits with an optional
 minus sign; vertices must lie in 0..n-1, and multidegree keys are only the
-decimal indices "0".."n-1".  Anything else is a SchemaError.
+decimal indices "0".."n-1".  No subcurve or support names a vertex twice,
+no stability names a subcurve twice, and no nonfree list names an edge
+index twice.  Anything else is a SchemaError.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ def vertex_mask(vertices, n: int, what: str = "vertex") -> int:
         if not 0 <= v < n:
             raise SchemaError(f"{what} {v} is not a component 0..{n - 1}")
         mask |= 1 << v
+    return mask
+
+
+def _vertex_set(vertices, n: int, what: str) -> int:
+    """``vertex_mask`` of a vertex list that names each vertex once."""
+    mask = vertex_mask(vertices, n, what)
+    if mask.bit_count() != len(vertices):
+        raise SchemaError(f"{what}s repeat a vertex: {vertices!r}")
     return mask
 
 
@@ -110,7 +120,9 @@ def stability_from_json(g: DualGraph, doc: dict) -> VStability:
     mapping = {}
     try:
         for entry in entries:
-            Y = vertex_mask(_need(entry, "subcurve"), g.n)
+            Y = _vertex_set(_need(entry, "subcurve"), g.n, "subcurve vertex")
+            if Y in mapping:
+                raise SchemaError(f"subcurve {vertices_of(Y)} has two entries")
             mapping[Y] = _int(_need(entry, "s"), "stability value")
         return VStability.from_dict(g, _int(chi, "chi"), mapping)
     except DomainMismatch as exc:
@@ -159,7 +171,7 @@ def sheaf_from_json(g: DualGraph, doc: dict) -> SheafData:
     if not isinstance(degs, dict):
         raise SchemaError("multidegree must be an object keyed by component")
     try:
-        mask = vertex_mask(support, g.n, "support vertex")
+        mask = _vertex_set(support, g.n, "support vertex")
         if not mask:
             raise SchemaError("the support must be nonempty")
         component = {str(v): v for v in range(g.n)}
@@ -170,7 +182,10 @@ def sheaf_from_json(g: DualGraph, doc: dict) -> SheafData:
                     f"multidegree key {key!r} does not name a component 0..{g.n - 1}"
                 )
             d[component[key]] = _int(val, "degree")
-        return SheafData(g, mask, tuple(d), frozenset(_int(e, "edge index") for e in nonfree))
+        edges = [_int(e, "edge index") for e in nonfree]
+        if len(set(edges)) != len(edges):
+            raise SchemaError(f"nonfree repeats an edge index: {edges!r}")
+        return SheafData(g, mask, tuple(d), frozenset(edges))
     except (DomainMismatch, TypeError, ValueError) as exc:
         raise SchemaError(f"bad sheaf document: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,18 @@ class TestWindowAndBounds:
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
 
+    @pytest.mark.parametrize("vertices, edges", [
+        pytest.param("7", "9", id="7-9"),
+        pytest.param(str(HUGE), str(HUGE), id="huge"),
+    ])
+    def test_scan_over_budget_exits_two_at_once(self, vertices, edges, capsys):
+        start = time.perf_counter()
+        assert main(["qdeg-scan", "--max-vertices", vertices, "--max-edges", edges]) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-vertices" in captured.err and "--max-edges" in captured.err
+
     def test_zero_max_edges_scans_the_single_vertex(self, capsys):
         assert main(["qdeg-scan", "--max-vertices", "3", "--max-edges", "0"]) == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -281,6 +294,36 @@ class TestStrictSchemas:
         doc = {"chi": 5, "psi": [["1", "1"], ["0", "1"], ["0", "1"]]}
         with pytest.raises(SchemaError):
             polarization_from_json(triangle(), doc)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([{"subcurve": [0], "s": 5}, {"subcurve": [0], "s": 0},
+                      {"subcurve": [1], "s": 0}], id="subcurve-twice"),
+        pytest.param([{"subcurve": [0], "s": 0}, {"subcurve": [1, 1], "s": 0}],
+                     id="vertex-twice"),
+    ])
+    def test_repeated_stability_entry(self, values):
+        with pytest.raises(SchemaError, match="two entries|repeat"):
+            stability_from_json(banana(), {"chi": 0, "values": values})
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"support": [0, 1, 1], "multidegree": {}, "nonfree": []},
+                     id="support-vertex-twice"),
+        pytest.param({"support": [0, 1], "multidegree": {}, "nonfree": [0, 0]},
+                     id="nonfree-edge-twice"),
+    ])
+    def test_repeated_sheaf_entry(self, doc):
+        with pytest.raises(SchemaError, match="repeat"):
+            sheaf_from_json(banana(), doc)
+
+    def test_repeated_entry_exits_two(self, banana_files, tmp_path, capsys):
+        graph, _ = banana_files
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"chi": 0, "values": [
+            {"subcurve": [0], "s": 5}, {"subcurve": [0], "s": 0},
+            {"subcurve": [1], "s": 0}]}))
+        assert main(["validate", "--graph", graph, "--stability", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "two entries" in captured.err
 
     def test_huge_subcurve_vertex_exits_two(self, banana_files, tmp_path, capsys):
         # the index is range-checked before any mask is built

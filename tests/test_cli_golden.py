@@ -2,8 +2,9 @@
 
 The digests pin byte-identical output of every subcommand that reads a
 fixture file on the banana and K4 curves, plus a few larger or decorated
-cases: the degeneracy poset of C5, a small evidence scan, and chi
-bookkeeping on a curve with genera and a non-free loop.  A change to any
+cases: the degeneracy poset of C5, a small evidence scan and the full
+one the benchmark runs (five vertices, seven edges), and chi bookkeeping
+on a curve with genera and a non-free loop.  A change to any
 of them is a change of observable behaviour and must be deliberate.
 """
 
@@ -183,6 +184,10 @@ EXTRA = {
     "loop-specialize": (
         GENUS_DECORATED, ["specialize", "--sheaf", "{sheaf}", "--partition", "1|0"],
         (0, "6d189fd71cd4a14317d04e33f3eed980f8eae817448a39b5bf83fc36dbc94839")),
+    # the benchmark's scan, recorded with the n! catalogue
+    "qdeg-scan-5-7": (
+        None, ["qdeg-scan", "--max-vertices", "5", "--max-edges", "7"],
+        (0, "4de4db755bebb0b0190e76d49e284ff02916a5dd27e0f3127755c5aee3b8d54f")),
 }
 
 
