@@ -51,7 +51,8 @@ def _emit(doc):
 
 
 def _parse_partition(text: str, I: sheaves.SheafData) -> sheaves.OrderedPartition:
-    """Parts like "0,2|1" as an ordered partition of the sheaf's support."""
+    """Parts like "0,2|1" as an ordered partition of the sheaf's support;
+    a part names each vertex once."""
     parts = tuple(
         serialize.vertex_mask(
             (int(tok) for tok in chunk.split(",") if tok.strip() != ""),

@@ -363,26 +363,12 @@ class DualGraph:
         for i in F:
             if not 0 <= i < len(self.edges):
                 raise ValueError(f"edge index {i} out of range")
-        # components of (V, F) via union-find
-        root = list(range(self.n))
-
-        def find(a):
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            return a
-
-        for i in F:
-            u, v = self.edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                root[max(ru, rv)] = min(ru, rv)
-        reps = sorted({find(v) for v in range(self.n)})
-        rep_to_new = {r: i for i, r in enumerate(reps)}
-        vertex_map = tuple(rep_to_new[find(v)] for v in range(self.n))
-        fibers = tuple(
-            mask_of(v for v in range(self.n) if vertex_map[v] == t)
-            for t in range(len(reps))
+        fibers = tuple(components(
+            adjacency_masks(self.n, (self.edges[i] for i in F)), self.full_mask
+        ))
+        vertex_map = tuple(
+            next(t for t, fib in enumerate(fibers) if fib >> v & 1)
+            for v in range(self.n)
         )
         genera = []
         for fib in fibers:

@@ -1,15 +1,21 @@
 """Posets of degeneracy subsets and of V-stabilities, translation action,
 normal forms, orbit enumeration, and the evidence scanner.
 
-The dominance order on degeneracy subsets is decided by an explicit search
-for a witness subset E (one binary choice per complementary pair, pruned
-by the pair and triple constraints).  Orbit enumeration walks the
-tree-cut-normalized candidate window with constraint propagation and keeps
-the stabilities that are their own normal form.
+Degeneracy subsets, dominance witnesses and window stabilities are all
+choices on the complementary pairs (Y, Y^c) of biconnected subcurves, and
+one depth-first search, ``_pair_search``, finds them: each pair takes its
+options in order, and each constraint (a pair union that must stay
+inside, or a pair or covering triple a witness must meet) is checked
+once, at the depth where its last pair is set.  The dominance order is
+decided by the first witness subset E.  Orbit enumeration keeps the
+tree-cut-normalized window candidates that are their own normal form.
+The stabilities dominating a given one have no constraint to prune by:
+they are a product over its degenerate pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -21,27 +27,60 @@ from .errors import (
 from .graphs import DualGraph, permute_mask, vertices_of
 from .stability import DegeneracySet, VStability
 
+# -- the pair search -------------------------------------------------------------
+
+
+def _pair_search(pairs, options, constraints, holds) -> Iterator[dict[int, object]]:
+    """Depth-first search over complementary pairs (Y, Y^c).
+
+    Pair i takes each of its ``options[i]`` (value on Y, value on Y^c) in
+    order.  Each constraint, a tuple of subcurves from the pairs, is filed
+    at the depth where its last pair is set, and ``holds(constraints,
+    values)`` is asked once per node with the constraints filed there; a
+    node where it fails is pruned.  Yields every complete assignment as a
+    dict from subcurve to value.
+    """
+    depth_of = {}
+    for i, (Y, Yc) in enumerate(pairs):
+        depth_of[Y] = depth_of[Yc] = i
+    filed: list[list[tuple[int, ...]]] = [[] for _ in pairs]
+    for c in constraints:
+        filed[max(depth_of[Y] for Y in c)].append(c)
+    values: dict[int, object] = {}
+
+    def walk(depth):
+        if depth == len(pairs):
+            yield dict(values)
+            return
+        Y, Yc = pairs[depth]
+        for a, b in options[depth]:
+            values[Y], values[Yc] = a, b
+            if holds(filed[depth], values):
+                yield from walk(depth + 1)
+
+    yield from walk(0)
+
+
 # -- degeneracy subsets ---------------------------------------------------------
+
+
+def _union_closed(admissible, inside) -> bool:
+    """Every admissible pair (A, B, A + B) with A and B inside has its union
+    inside."""
+    return all(inside[U] or not (inside[A] and inside[B]) for A, B, U in admissible)
 
 
 def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
     """All subsets of the biconnected subcurves closed under complement and
     disjoint-union-into-biconnected, smallest first."""
     pairs = g.bcon_pairs
-    closures = g.admissible_pairs
-    out = []
-    for bits in range(1 << len(pairs)):
-        members = set()
-        for i, (Y, Yc) in enumerate(pairs):
-            if (bits >> i) & 1:
-                members.add(Y)
-                members.add(Yc)
-        if all(
-            U in members
-            for A, B, U in closures
-            if A in members and B in members
-        ):
-            out.append(DegeneracySet(g, frozenset(members)))
+    out = [
+        DegeneracySet(g, frozenset(Y for Y, inside in chosen.items() if inside))
+        for chosen in _pair_search(
+            pairs, [((False, False), (True, True))] * len(pairs),
+            g.admissible_pairs, _union_closed,
+        )
+    ]
     out.sort(key=lambda d: (len(d.members), sorted(d.members)))
     return out
 
@@ -49,8 +88,10 @@ def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
 def minimal_elements(D: DegeneracySet) -> frozenset[int]:
     """Members admitting no proper difference-decomposition within D.
 
-    Every member must decompose uniquely as a disjoint union of minimal
-    elements; that uniqueness is verified here.
+    Every member must be a disjoint union of minimal elements; that
+    existence is verified here.  The decomposition need not be unique: in
+    degeneracy subsets of K5 realized by stabilities, {1,2,3,4} is both
+    {1,2} + {3,4} and {1,3} + {2,4}.
     """
     bcon = D.graph.bcon_index
     mins = frozenset(
@@ -61,10 +102,8 @@ def minimal_elements(D: DegeneracySet) -> frozenset[int]:
         )
     )
     for Y in D.members:
-        if _count_decompositions(Y, sorted(mins)) != 1:
-            raise AssertionError(
-                f"member {Y:b} lacks a unique minimal decomposition"
-            )
+        if _count_decompositions(Y, sorted(mins)) == 0:
+            raise AssertionError(f"member {Y:b} is no disjoint union of minimal elements")
     return mins
 
 
@@ -79,81 +118,45 @@ def _count_decompositions(Y: int, mins: list[int]) -> int:
     return total
 
 
+def _meets_properly(constraints, in_E) -> bool:
+    """Every constraint (a pair or a triple of subcurves) meets E without
+    lying inside it: a pair exactly once, a triple once or twice."""
+    return all(0 < sum(in_E[Z] for Z in c) < len(c) for c in constraints)
+
+
 def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[int]]:
     """Witness subsets E certifying D1 >= D2, in a deterministic order.
 
-    E picks one member of each complementary pair of D2 - D1; every
-    disjoint pair in D2 - D1 whose union lies in D1 must meet E exactly
-    once, and every pairwise-disjoint covering triple in D2 - D1 must meet
-    E once or twice.
+    E picks one member of each complementary pair of D2 - D1 (the smaller
+    side first); every disjoint pair in D2 - D1 whose union lies in D1 must
+    meet E exactly once, and every pairwise-disjoint covering triple in
+    D2 - D1 must meet E once or twice.
     """
     if D1.graph != D2.graph:
         return
     if not D1.members <= D2.members:
         return
-    g = D1.graph
+    full = D1.graph.full_mask
     diff = D2.members - D1.members
-    if not diff:
-        yield frozenset()
-        return
-    full = g.full_mask
     pairs = sorted(
         {(min(Y, full ^ Y), max(Y, full ^ Y)) for Y in diff}
     )
-    index = {}
-    for i, (a, b) in enumerate(pairs):
-        index[a] = (i, 0)
-        index[b] = (i, 1)
-
-    xor_cons = []      # ((pair, side), (pair, side)) -> exactly one in E
-    for Z1 in diff:
-        for Z2 in diff:
-            if Z1 < Z2 and not Z1 & Z2 and (Z1 | Z2) in D1.members:
-                xor_cons.append((index[Z1], index[Z2]))
-    triple_cons = []   # three (pair, side) -> one or two in E
+    constraints = []
     dlist = sorted(diff)
     for i, Z1 in enumerate(dlist):
-        for j in range(i + 1, len(dlist)):
-            Z2 = dlist[j]
+        for Z2 in dlist[i + 1:]:
             if Z1 & Z2:
                 continue
+            if (Z1 | Z2) in D1.members:
+                constraints.append((Z1, Z2))
             Z3 = full ^ (Z1 | Z2)
             if Z3 > Z2 and Z3 in diff:
-                triple_cons.append((index[Z1], index[Z2], index[Z3]))
-
-    choice = [None] * len(pairs)
-
-    def in_E(pair, side):
-        c = choice[pair]
-        if c is None:
-            return None
-        return c == side
-
-    def consistent():
-        for a, b in xor_cons:
-            va, vb = in_E(*a), in_E(*b)
-            if va is not None and vb is not None and va == vb:
-                return False
-        for a, b, c in triple_cons:
-            vs = [in_E(*a), in_E(*b), in_E(*c)]
-            if None not in vs and sum(vs) not in (1, 2):
-                return False
-        return True
-
-    def walk(i) -> Iterator[frozenset[int]]:
-        if i == len(pairs):
-            yield frozenset(
-                pairs[p][side] for p, side in
-                ((p, choice[p]) for p in range(len(pairs)))
-            )
-            return
-        for side in (0, 1):
-            choice[i] = side
-            if consistent():
-                yield from walk(i + 1)
-        choice[i] = None
-
-    yield from walk(0)
+                constraints.append((Z1, Z2, Z3))
+    for in_E in _pair_search(
+        pairs, [((True, False), (False, True))] * len(pairs),
+        constraints, _meets_properly,
+    ):
+        yield frozenset(Y for Y, chosen in in_E.items() if chosen)
 
 
 def deg_leq(D1: DegeneracySet, D2: DegeneracySet) -> bool:
@@ -287,23 +290,17 @@ def dominating_stabilities(s: VStability) -> Iterator[VStability]:
     deg_pairs = [
         (Y, Yc) for Y, Yc in g.bcon_pairs if s.is_degenerate(Y)
     ]
-    options = []
-    for Y, Yc in deg_pairs:
-        options.append(((Y, 0), (Y, 1), (Yc, 1)))
-
-    def walk(i, mapping, changed):
-        if i == len(options):
-            if changed:
-                t = VStability.from_dict(g, s.chi, mapping)
-                if t.is_valid:
-                    yield t
-            return
-        for Y, bump in options[i]:
-            mapping2 = dict(mapping)
-            mapping2[Y] += bump
-            yield from walk(i + 1, mapping2, changed or bump)
-
-    yield from walk(0, s.as_dict(), False)
+    base = s.as_dict()
+    bumps = itertools.product(((0, 0), (1, 0), (0, 1)), repeat=len(deg_pairs))
+    # the first bump is all zero, which gives s itself
+    for bump in itertools.islice(bumps, 1, None):
+        mapping = dict(base)
+        for (Y, Yc), (a, b) in zip(deg_pairs, bump):
+            mapping[Y] += a
+            mapping[Yc] += b
+        t = VStability.from_dict(g, s.chi, mapping)
+        if t.is_valid:
+            yield t
 
 
 def is_maximal(s: VStability) -> bool:
@@ -413,70 +410,37 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
     full = g.full_mask
     pairs = g.bcon_pairs
     window = stability_window(g)
-    cut_sides = {}
-    for parent_side, child_side in g.spanning_tree.cut_pairs():
-        cut_sides[frozenset((parent_side, child_side))] = (parent_side, child_side)
+    cut_child = {min(cut): cut[1] for cut in g.spanning_tree.cut_pairs()}
 
     options = []
     for Y, Yc in pairs:
-        cut = cut_sides.get(frozenset((Y, Yc)))
-        opts = []
-        if tree_cut_pattern and cut is not None:
-            parent_side, child_side = cut
-            for b in (0, 1):
-                val = {parent_side: 0, child_side: b}
-                opts.append((val[Y], val[Yc]))
+        if tree_cut_pattern and Y in cut_child:
+            # 0 on the parent side, 0 or 1 on the child side
+            options.append(((0, 0), (0, 1) if cut_child[Y] == Yc else (1, 0)))
         else:
-            lo1, hi1 = window[Y]
-            lo2, hi2 = window[Yc]
-            for a in range(lo1, hi1 + 1):
-                for b in (-a, 1 - a):
-                    if lo2 <= b <= hi2:
-                        opts.append((a, b))
-        options.append(opts)
+            (lo1, hi1), (lo2, hi2) = window[Y], window[Yc]
+            options.append(tuple(
+                (a, b) for a in range(lo1, hi1 + 1) for b in (-a, 1 - a)
+                if lo2 <= b <= hi2
+            ))
 
-    pair_of = {}
-    for i, (Y, Yc) in enumerate(pairs):
-        pair_of[Y] = i
-        pair_of[Yc] = i
-    cons_by_depth: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    for A, B, U in g.admissible_pairs:
-        depth = max(pair_of[A], pair_of[B], pair_of[U])
-        cons_by_depth[depth].append((A, B, U))
-
-    values: dict[int, int] = {}
-    out = []
-
-    def degenerate(Y):
-        return values[Y] + values[full ^ Y] == 0
-
-    def ok(depth):
-        for A, B, U in cons_by_depth[depth]:
+    def pair_union_rule(admissible, values):
+        for A, B, U in admissible:
             delta = values[U] - values[A] - values[B]
-            if degenerate(A) or degenerate(B):
+            if values[A] + values[full ^ A] == 0 or values[B] + values[full ^ B] == 0:
                 if delta != 0:
                     return False
-            elif degenerate(U):
+            elif values[U] + values[full ^ U] == 0:
                 if delta != -1:
                     return False
             elif delta not in (0, -1):
                 return False
         return True
 
-    def walk(depth):
-        if depth == len(pairs):
-            out.append(VStability.from_dict(g, 0, dict(values)))
-            return
-        Y, Yc = pairs[depth]
-        for a, b in options[depth]:
-            values[Y] = a
-            values[Yc] = b
-            if ok(depth):
-                walk(depth + 1)
-        values.pop(Y, None)
-        values.pop(Yc, None)
-
-    walk(0)
+    out = [
+        VStability.from_dict(g, 0, values)
+        for values in _pair_search(pairs, options, g.admissible_pairs, pair_union_rule)
+    ]
     for s in out:
         if not s.is_valid:
             raise AssertionError("pruned search admitted an invalid stability")

@@ -53,22 +53,16 @@ def _int(x, what: str) -> int:
 
 
 def vertex_mask(vertices, n: int, what: str = "vertex") -> int:
-    """Subcurve mask of vertex indices, each a JSON integer in 0..n-1;
-    every index is checked before its bit is set."""
+    """Subcurve mask of vertex indices, each a JSON integer in 0..n-1
+    named once; every index is checked before its bit is set."""
     mask = 0
     for x in vertices:
         v = _int(x, what)
         if not 0 <= v < n:
             raise SchemaError(f"{what} {v} is not a component 0..{n - 1}")
+        if mask >> v & 1:
+            raise SchemaError(f"{what} {v} is repeated")
         mask |= 1 << v
-    return mask
-
-
-def _vertex_set(vertices, n: int, what: str) -> int:
-    """``vertex_mask`` of a vertex list that names each vertex once."""
-    mask = vertex_mask(vertices, n, what)
-    if mask.bit_count() != len(vertices):
-        raise SchemaError(f"{what}s repeat a vertex: {vertices!r}")
     return mask
 
 
@@ -120,7 +114,7 @@ def stability_from_json(g: DualGraph, doc: dict) -> VStability:
     mapping = {}
     try:
         for entry in entries:
-            Y = _vertex_set(_need(entry, "subcurve"), g.n, "subcurve vertex")
+            Y = vertex_mask(_need(entry, "subcurve"), g.n, "subcurve vertex")
             if Y in mapping:
                 raise SchemaError(f"subcurve {vertices_of(Y)} has two entries")
             mapping[Y] = _int(_need(entry, "s"), "stability value")
@@ -171,7 +165,7 @@ def sheaf_from_json(g: DualGraph, doc: dict) -> SheafData:
     if not isinstance(degs, dict):
         raise SchemaError("multidegree must be an object keyed by component")
     try:
-        mask = _vertex_set(support, g.n, "support vertex")
+        mask = vertex_mask(support, g.n, "support vertex")
         if not mask:
             raise SchemaError("the support must be nonempty")
         component = {str(v): v for v in range(g.n)}

@@ -64,6 +64,21 @@ def cycle5():
     return DualGraph((0,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 
 
+def k5():
+    return DualGraph((0,) * 5, tuple(
+        (i, j) for i in range(5) for j in range(i + 1, 5)
+    ))
+
+
+def cycle6():
+    return DualGraph((0,) * 6, tuple((i, (i + 1) % 6) for i in range(6)))
+
+
+def k4_plus_path2():
+    """K4 on {0,1,2,3} plus the path 3-4-5."""
+    return DualGraph((0,) * 6, k4().edges + ((3, 4), (4, 5)))
+
+
 def genus_decorated():
     """Banana with genera and a loop, for chi bookkeeping."""
     return DualGraph((1, 2), ((0, 1), (0, 1), (1, 1)))
@@ -73,6 +88,8 @@ POOL_SMALL = [single_vertex, single_edge, banana, triple_banana, path3,
               triangle, theta_plus_spur]
 POOL_N4 = POOL_SMALL + [star4, path4, cycle4, k4]
 POOL_N5 = POOL_N4 + [cycle5]
+# the graph ladder of the benchmark
+LADDER = [banana, k4, cycle5, k5, cycle6, k4_plus_path2]
 
 
 @pytest.fixture
@@ -125,6 +142,27 @@ def oracle_component_count(g: DualGraph, vertices: set) -> int:
             if ru != rv:
                 root[ru] = rv
     return len({find(v) for v in vertices})
+
+
+def oracle_fibers(g: DualGraph, edge_indices) -> list[set]:
+    """Vertex sets of the components of (V, edges), by union-find, in
+    ascending order of their least vertex."""
+    root = list(range(g.n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for i in edge_indices:
+        ru, rv = find(g.edges[i][0]), find(g.edges[i][1])
+        if ru != rv:
+            root[max(ru, rv)] = min(ru, rv)
+    fibers = {}
+    for v in range(g.n):
+        fibers.setdefault(find(v), set()).add(v)
+    return [fibers[r] for r in sorted(fibers)]
 
 
 def oracle_genus(g: DualGraph, vertices: set) -> int:

@@ -5,7 +5,12 @@ import pytest
 
 from vstab import DualGraph, SheafData, VStability
 from vstab.cli import main
-from vstab.posets import enumerate_orbits, translate
+from vstab.posets import (
+    deg_symmetry_classes,
+    enumerate_degeneracy_subsets,
+    enumerate_orbits,
+    translate,
+)
 from vstab.sheaves import enumerate_semistable
 from vstab.serialize import (
     SchemaError,
@@ -19,7 +24,7 @@ from vstab.serialize import (
     stability_to_json,
 )
 
-from conftest import banana, k4, triangle
+from conftest import banana, k4, k5, triangle
 
 HUGE = 10 ** 30     # a vertex index whose mask bit would not fit in memory
 
@@ -111,6 +116,22 @@ class TestEnumCommands:
         assert main(["enum-deg", "--graph", graph]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["degeneracy_subsets"]) == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (["enum-deg", "--mod-symmetry"], "degeneracy_subsets"),
+        (["poset", "--kind", "deg", "--mod-symmetry"], "elements"),
+    ], ids=["enum-deg", "poset"])
+    def test_k5_symmetry_classes(self, tmp_path, capsys, argv, key):
+        # some K5 members decompose into minimal elements in two ways
+        g = k5()
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        assert main(argv[:1] + ["--graph", str(graph)] + argv[1:]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reps, _ = deg_symmetry_classes(g, enumerate_degeneracy_subsets(g))
+        assert len(doc[key]) == len(reps) == 13
+        if key == "elements":
+            assert len(doc["covers"]) == 21
 
     def test_poset_dot(self, banana_files, capsys):
         graph, _ = banana_files
@@ -346,6 +367,7 @@ class TestSpecializeInput:
         pytest.param(SHEAF, "0||1", "nonempty", id="empty-part"),
         pytest.param(SHEAF, "0", "cover", id="not-covering"),
         pytest.param(SHEAF, "0|2", "--partition vertex 2", id="vertex-out-of-range"),
+        pytest.param(SHEAF, "0,0|1", "repeat", id="repeated-partition-vertex"),
         pytest.param(SHEAF, f"0|1,{HUGE}", str(HUGE), id="huge-partition-vertex"),
         pytest.param({"support": [0, HUGE], "multidegree": {"0": 0}, "nonfree": []},
                      "0", str(HUGE), id="huge-support-vertex"),

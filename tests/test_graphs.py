@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from vstab import DualGraph
 from vstab.errors import EmptySubcurve, OverlappingSubcurves
+from vstab.graphenum import connected_multigraphs
 from vstab.graphs import vertices_of
 
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     oracle_biconnected,
     oracle_connected,
     oracle_component_count,
+    oracle_fibers,
     oracle_genus,
     path3,
     triangle,
@@ -222,6 +224,22 @@ class TestContraction:
                 bset = set(g.biconnected_subcurves)
                 for Y in target.biconnected_subcurves:
                     assert c.pushforward(Y) in bset
+
+    def test_fibers_match_union_find(self):
+        # every edge subset of every graph with at most 5 vertices and 6 edges
+        checked = 0
+        for g in connected_multigraphs(5, 6):
+            for F_bits in range(1 << len(g.edges)):
+                F = tuple(i for i in range(len(g.edges)) if (F_bits >> i) & 1)
+                _, c = g.contract(F)
+                fibers = oracle_fibers(g, F)
+                assert [set(vertices_of(f)) for f in c.fibers] == fibers
+                assert c.vertex_map == tuple(
+                    next(t for t, fib in enumerate(fibers) if v in fib)
+                    for v in range(g.n)
+                )
+                checked += 1
+        assert checked == 5139
 
 
 class TestInduced:
