@@ -52,10 +52,12 @@ def _emit(doc):
 
 def _parse_partition(text: str, I: sheaves.SheafData) -> sheaves.OrderedPartition:
     """Parts like "0,2|1" as an ordered partition of the sheaf's support;
-    a part names each vertex once."""
+    a part names each vertex once.  A blank part is read as empty (and
+    rejected as such); a blank token in a part is malformed."""
     parts = tuple(
         serialize.vertex_mask(
-            (int(tok) for tok in chunk.split(",") if tok.strip() != ""),
+            (serialize.int_token(tok, "--partition vertex")
+             for tok in chunk.split(",") if chunk.strip()),
             I.graph.n, "--partition vertex",
         )
         for chunk in text.split("|")
@@ -218,7 +220,9 @@ def cmd_limit(args) -> int:
     if not s.is_valid:
         _emit({"error": "stability is not valid"})
         return EXIT_INPUT
-    d0 = tuple(int(tok) for tok in args.multidegree.split(","))
+    d0 = tuple(
+        serialize.int_token(tok, "--multidegree entry") for tok in args.multidegree.split(",")
+    )
     if len(d0) != g.n:
         raise SchemaError("multidegree length must match the component count")
     result, trace = limits.esteves_limit(d0, s)

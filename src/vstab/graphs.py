@@ -47,6 +47,16 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def subset_sums(weights) -> list[int]:
+    """The sum of the per-vertex ``weights`` over every mask (index = mask),
+    filled by lowest-bit recursion; the empty mask gets 0."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & (-mask)
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def adjacency_masks(n: int, edges) -> tuple[int, ...]:
     """Per vertex: the mask of its neighbours, loops ignored."""
     adj = [0] * n
@@ -289,15 +299,7 @@ class DualGraph:
     def subset_sum_shifts(self) -> tuple[tuple[int, ...], ...]:
         """Per twist subcurve Y and per mask: the change of the degree sum
         over the mask under the twist by Y."""
-        out = []
-        for Y in range(self.full_mask + 1):
-            delta = self.twist_deltas[Y]
-            sums = [0] * (self.full_mask + 1)
-            for mask in range(1, self.full_mask + 1):
-                low = mask & (-mask)
-                sums[mask] = sums[mask ^ low] + delta[low.bit_length() - 1]
-            out.append(tuple(sums))
-        return tuple(out)
+        return tuple(tuple(subset_sums(delta)) for delta in self.twist_deltas)
 
     @cached_property
     def line_chi_base(self) -> tuple[int, ...]:
@@ -467,6 +469,16 @@ class SpanningTree:
         for p, c in self.edges:
             kids[p].append(c)
         return {v: tuple(ws) for v, ws in kids.items()}
+
+    def from_subtree_totals(self, whole: int, per_child) -> list[int]:
+        """The vertex vector with sum ``whole`` over the curve and the given
+        sum over the subtree under each child (in edge order)."""
+        subtree_total = {0: whole}
+        subtree_total.update(zip((c for _, c in self.edges), per_child))
+        return [
+            subtree_total[v] - sum(subtree_total[c] for c in self.children[v])
+            for v in range(self.graph.n)
+        ]
 
 
 @dataclass(frozen=True)

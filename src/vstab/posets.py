@@ -1,22 +1,22 @@
-"""Posets of degeneracy subsets and of V-stabilities, translation action,
-normal forms, orbit enumeration, and the evidence scanner.
+"""Posets of degeneracy subsets and of V-stabilities, normal forms under
+translation, orbit enumeration, and the evidence scanner.
 
-Degeneracy subsets, dominance witnesses and window stabilities are all
-choices on the complementary pairs (Y, Y^c) of biconnected subcurves, and
-one depth-first search, ``_pair_search``, finds them: each pair takes its
-options in order, and each constraint (a pair union that must stay
-inside, or a pair or covering triple a witness must meet) is checked
-once, at the depth where its last pair is set.  The dominance order is
-decided by the first witness subset E.  Orbit enumeration keeps the
-tree-cut-normalized window candidates that are their own normal form.
-The stabilities dominating a given one have no constraint to prune by:
-they are a product over its degenerate pairs.
+Degeneracy subsets, dominance witnesses, window stabilities and the
+stabilities dominating a given one are all choices on the complementary
+pairs (Y, Y^c) of biconnected subcurves, and one depth-first search,
+``_pair_search``, finds them: each pair takes its options in order, and
+each constraint (a pair union that must stay inside or obey the
+pair-union rule, or a pair or covering triple a witness must meet) is
+checked once, at the depth where its last pair is set.  The dominance
+order is decided by the first witness subset E.  Orbit enumeration keeps
+the tree-cut-normalized window candidates that are their own normal form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     NotAPartialOrder,
 )
 from .graphs import DualGraph, permute_mask, vertices_of
-from .stability import DegeneracySet, VStability
+from .stability import DegeneracySet, VStability, translate
 
 # -- the pair search -------------------------------------------------------------
 
@@ -59,6 +59,25 @@ def _pair_search(pairs, options, constraints, holds) -> Iterator[dict[int, objec
                 yield from walk(depth + 1)
 
     yield from walk(0)
+
+
+def _pair_union_rule(full, chi, admissible, values) -> bool:
+    """The pair-union rule of ``validate_via_union`` on each admissible
+    (A, B, A + B), with degeneracy read off the pair sums: the union defect
+    is 0 if A or B is degenerate, -1 if only the union is, and 0 or -1 if
+    none is."""
+    for A, B, U in admissible:
+        delta = values[U] - values[A] - values[B]
+        if delta == 0:
+            if (values[U] + values[full ^ U] == chi
+                    and values[A] + values[full ^ A] != chi
+                    and values[B] + values[full ^ B] != chi):
+                return False
+        elif (delta != -1
+                or values[A] + values[full ^ A] == chi
+                or values[B] + values[full ^ B] == chi):
+            return False
+    return True
 
 
 # -- degeneracy subsets ---------------------------------------------------------
@@ -283,24 +302,25 @@ def lift(D1: DegeneracySet, D2: DegeneracySet, s2: VStability) -> VStability:
 
 
 def dominating_stabilities(s: VStability) -> Iterator[VStability]:
-    """All valid t > s.  The pair-sum constraint confines candidates to
-    bumping one side of each degenerate pair by one."""
+    """All valid t > s, in product order over the degenerate pairs.  The
+    pair-sum constraint confines candidates to bumping one side of each
+    degenerate pair by one; the pair-union rule prunes the bumps."""
     s._require_valid()
     g = s.graph
-    deg_pairs = [
-        (Y, Yc) for Y, Yc in g.bcon_pairs if s.is_degenerate(Y)
+    options = [
+        ((a, b), (a + 1, b), (a, b + 1)) if a + b == s.chi else ((a, b),)
+        for a, b in ((s.value(Y), s.value(Yc)) for Y, Yc in g.bcon_pairs)
     ]
-    base = s.as_dict()
-    bumps = itertools.product(((0, 0), (1, 0), (0, 1)), repeat=len(deg_pairs))
-    # the first bump is all zero, which gives s itself
-    for bump in itertools.islice(bumps, 1, None):
-        mapping = dict(base)
-        for (Y, Yc), (a, b) in zip(deg_pairs, bump):
-            mapping[Y] += a
-            mapping[Yc] += b
-        t = VStability.from_dict(g, s.chi, mapping)
-        if t.is_valid:
-            yield t
+    found = _pair_search(
+        g.bcon_pairs, options, g.admissible_pairs,
+        partial(_pair_union_rule, g.full_mask, s.chi),
+    )
+    # the first assignment bumps nothing, which gives s itself
+    for values in itertools.islice(found, 1, None):
+        t = VStability(g, s.chi, tuple(values[Y] for Y in g.biconnected_subcurves))
+        if not t.is_valid:
+            raise AssertionError("pruned search admitted an invalid stability")
+        yield t
 
 
 def is_maximal(s: VStability) -> bool:
@@ -316,46 +336,12 @@ def is_submaximal(s: VStability) -> bool:
 # -- translation action -----------------------------------------------------------
 
 
-def translate(s: VStability, tau) -> VStability:
-    """Shift by an integer vector: adds the tau-sum over each subcurve and
-    moves the characteristic by the total."""
-    g = s.graph
-    tau = tuple(int(t) for t in tau)
-    if len(tau) != g.n:
-        raise ValueError("one integer per component required")
-    bcon = g.biconnected_subcurves
-    values = tuple(
-        v + sum(tau[x] for x in vertices_of(Y))
-        for v, Y in zip(s.values, bcon)
-    )
-    return VStability(g, s.chi + sum(tau), values)
-
-
 def normal_form(s: VStability) -> tuple[VStability, tuple[int, ...]]:
     """Translation-orbit representative with characteristic 0 and the
     tree-cut pattern: value 0 on every parent side, 0 or 1 on the child
     side depending on degeneracy.  Returns (representative, tau) with
-    representative == translate(s, tau)."""
-    s._require_valid()
-    full = s.graph.full_mask
-    # target tau-sum over each child subtree
-    tau = _tau_from_subtree_totals(s.graph, -s.chi, [
-        -s.value(child) + (0 if s.is_degenerate(full ^ child) else 1)
-        for child in s.graph.spanning_tree.child_masks
-    ])
-    return translate(s, tau), tuple(tau)
-
-
-def _tau_from_subtree_totals(g: DualGraph, whole: int, per_child) -> list[int]:
-    """The vector tau with the given sum over the whole curve and over the
-    subtree under each child of the spanning tree (in tree-edge order)."""
-    tree = g.spanning_tree
-    subtree_total = {0: whole}
-    subtree_total.update(zip((c for _, c in tree.edges), per_child))
-    return [
-        subtree_total[v] - sum(subtree_total[c] for c in tree.children[v])
-        for v in range(g.n)
-    ]
+    representative == translate(s, tau); each stability computes it once."""
+    return s.tree_cut_normal_form
 
 
 def orbit_equal(s: VStability, t: VStability) -> bool:
@@ -374,7 +360,7 @@ def translation_witness(s: VStability, t: VStability, bound: Optional[int] = Non
     """
     if s.graph != t.graph:
         return None
-    tau = _tau_from_subtree_totals(s.graph, t.chi - s.chi, [
+    tau = s.graph.spanning_tree.from_subtree_totals(t.chi - s.chi, [
         t.value(child) - s.value(child)
         for child in s.graph.spanning_tree.child_masks
     ])
@@ -424,22 +410,12 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
                 if lo2 <= b <= hi2
             ))
 
-    def pair_union_rule(admissible, values):
-        for A, B, U in admissible:
-            delta = values[U] - values[A] - values[B]
-            if values[A] + values[full ^ A] == 0 or values[B] + values[full ^ B] == 0:
-                if delta != 0:
-                    return False
-            elif values[U] + values[full ^ U] == 0:
-                if delta != -1:
-                    return False
-            elif delta not in (0, -1):
-                return False
-        return True
-
+    bcon = g.biconnected_subcurves
     out = [
-        VStability.from_dict(g, 0, values)
-        for values in _pair_search(pairs, options, g.admissible_pairs, pair_union_rule)
+        VStability(g, 0, tuple(values[Y] for Y in bcon))
+        for values in _pair_search(
+            pairs, options, g.admissible_pairs, partial(_pair_union_rule, full, 0),
+        )
     ]
     for s in out:
         if not s.is_valid:

@@ -45,11 +45,28 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+# decimal digits with an optional minus sign
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def _int(x, what: str) -> int:
     """A JSON integer, never a bool, float or string coerced to one."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def int_token(text: str, what: str) -> int:
+    """A command-line integer: after stripping surrounding whitespace, an
+    optional minus sign and decimal digits, nothing else (no sign "+", no
+    digit-group underscores, no non-ASCII digits)."""
+    token = text.strip()
+    if not _INTEGER.fullmatch(token):
+        raise SchemaError(f"{what} {text!r} is not an integer")
+    try:
+        return int(token)
+    except ValueError as exc:   # longer than the interpreter converts
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def vertex_mask(vertices, n: int, what: str = "vertex") -> int:
@@ -70,7 +87,7 @@ def _fraction(entry) -> Fraction:
     """A psi entry: a [numerator, denominator] pair of strings, each of
     decimal digits with an optional minus sign."""
     if not (isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(x, str) and re.fullmatch("-?[0-9]+", x) for x in entry
+        isinstance(x, str) and _INTEGER.fullmatch(x) for x in entry
     )):
         raise SchemaError(f"psi entry must be a pair of integer strings, got {entry!r}")
     return Fraction(int(entry[0]), int(entry[1]))

@@ -6,6 +6,8 @@ plus the value on its complement minus chi lies in {0,1}) and constraints
 on every triple of pairwise-disjoint biconnected subcurves covering the
 curve.  Both the triple-based validator and the equivalent pair-union
 validator are implemented; they are cross-checked in the test suite.
+The translation action lives here too, so that each stability computes
+its tree-cut normal form once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
-from .graphs import Contraction, DualGraph, vertices_of
+from .graphs import Contraction, DualGraph, subset_sums, vertices_of
+
+
+# allowed triple sums minus chi, by the number of degenerate members
+_TRIPLE_SUMS = {3: (0,), 1: (1,), 0: (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class VStability:
             raise DomainMismatch(
                 "values must be aligned with the biconnected subcurves"
             )
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
 
     @classmethod
     def from_dict(cls, graph: DualGraph, chi: int, mapping: dict[int, int]) -> "VStability":
@@ -79,31 +85,46 @@ class VStability:
 
     # -- validation ---------------------------------------------------------
 
+    def _value_tables(self) -> tuple[list[int], list[bool]]:
+        """Per-call tables indexed by subcurve mask: the stored value, and
+        the pair-sum test for degeneracy (0 and False off the biconnected
+        subcurves)."""
+        g = self.graph
+        full = g.full_mask
+        value = [0] * (full + 1)
+        for Y, v in zip(g.biconnected_subcurves, self.values):
+            value[Y] = v
+        degenerate = [False] * (full + 1)
+        for Y, Yc in g.bcon_pairs:
+            degenerate[Y] = degenerate[Yc] = value[Y] + value[Yc] == self.chi
+        return value, degenerate
+
     def validate(self) -> ValidationReport:
         """Check the pair-sum constraint and both triple constraints.
 
         All violations are reported, not just the first.
         """
         g = self.graph
+        chi = self.chi
+        value, degenerate = self._value_tables()
         out: list[Violation] = []
         for Y, Yc in g.bcon_pairs:
-            t = self.value(Y) + self.value(Yc) - self.chi
+            t = value[Y] + value[Yc] - chi
             if t not in (0, 1):
                 out.append(Violation(
                     "pair-sum", (Y, Yc),
                     f"value sum minus chi is {t}, expected 0 or 1",
                 ))
         for Y1, Y2, Y3 in g.covering_triples:
-            dgs = [self.is_degenerate(Z) for Z in (Y1, Y2, Y3)]
-            ndeg = sum(dgs)
-            sigma = self.value(Y1) + self.value(Y2) + self.value(Y3) - self.chi
+            ndeg = degenerate[Y1] + degenerate[Y2] + degenerate[Y3]
             if ndeg == 2:
                 out.append(Violation(
                     "triple-closure", (Y1, Y2, Y3),
                     "two members degenerate but not the third",
                 ))
                 continue
-            expected = {3: (0,), 1: (1,), 0: (1, 2)}[ndeg]
+            sigma = value[Y1] + value[Y2] + value[Y3] - chi
+            expected = _TRIPLE_SUMS[ndeg]
             if sigma not in expected:
                 out.append(Violation(
                     "triple-sum", (Y1, Y2, Y3),
@@ -118,20 +139,20 @@ class VStability:
         asserted wholesale in the test suite.
         """
         g = self.graph
+        value, degenerate = self._value_tables()
         out: list[Violation] = []
         for Y, Yc in g.bcon_pairs:
-            t = self.value(Y) + self.value(Yc) - self.chi
+            t = value[Y] + value[Yc] - self.chi
             if t not in (0, 1):
                 out.append(Violation(
                     "pair-sum", (Y, Yc),
                     f"value sum minus chi is {t}, expected 0 or 1",
                 ))
         for Y1, Y2, U in g.admissible_pairs:
-            delta = self.value(U) - self.value(Y1) - self.value(Y2)
-            d1, d2, dU = (self.is_degenerate(Z) for Z in (Y1, Y2, U))
-            if d1 or d2:
+            delta = value[U] - value[Y1] - value[Y2]
+            if degenerate[Y1] or degenerate[Y2]:
                 expected = (0,)
-            elif dU:
+            elif degenerate[U]:
                 expected = (-1,)
             else:
                 expected = (0, -1)
@@ -149,6 +170,20 @@ class VStability:
     def _require_valid(self):
         if not self.is_valid:
             raise InvalidStability("operation requires a valid V-stability")
+
+    @cached_property
+    def tree_cut_normal_form(self) -> tuple["VStability", tuple[int, ...]]:
+        """(representative, tau), computed once per stability; see
+        :func:`vstab.posets.normal_form`, the public entry point."""
+        self._require_valid()
+        full = self.graph.full_mask
+        tree = self.graph.spanning_tree
+        # target tau-sum over each child subtree
+        tau = tree.from_subtree_totals(-self.chi, [
+            -self.value(child) + (0 if self.is_degenerate(full ^ child) else 1)
+            for child in tree.child_masks
+        ])
+        return translate(self, tau), tuple(tau)
 
     # -- degeneracy ----------------------------------------------------------
 
@@ -233,6 +268,18 @@ class VStability:
             self.extended_value(embed_mask(W)) for W in sub.biconnected_subcurves
         )
         return VStability(sub, self.extended_value(Y), values)
+
+
+def translate(s: VStability, tau) -> VStability:
+    """Shift by an integer vector: adds the tau-sum over each subcurve and
+    moves the characteristic by the total."""
+    g = s.graph
+    tau = tuple(int(t) for t in tau)
+    if len(tau) != g.n:
+        raise ValueError("one integer per component required")
+    sums = subset_sums(tau)
+    values = tuple(v + sums[Y] for v, Y in zip(s.values, g.biconnected_subcurves))
+    return VStability(g, s.chi + sums[-1], values)
 
 
 def pullback(s: VStability, c: Contraction) -> VStability:

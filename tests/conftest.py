@@ -9,6 +9,7 @@ import pytest
 
 from vstab import DualGraph
 from vstab.graphs import vertices_of
+from vstab.stability import ValidationReport, Violation
 
 
 # -- named graphs --------------------------------------------------------------
@@ -193,3 +194,62 @@ def all_subcurves(g: DualGraph):
 
 def proper_nonempty(g: DualGraph):
     return range(1, g.full_mask)
+
+
+def oracle_validate(s) -> ValidationReport:
+    """The triple validator as written before the value tables: one
+    ``value`` and ``is_degenerate`` method call per lookup."""
+    g = s.graph
+    out = []
+    for Y, Yc in g.bcon_pairs:
+        t = s.value(Y) + s.value(Yc) - s.chi
+        if t not in (0, 1):
+            out.append(Violation(
+                "pair-sum", (Y, Yc),
+                f"value sum minus chi is {t}, expected 0 or 1",
+            ))
+    for Y1, Y2, Y3 in g.covering_triples:
+        dgs = [s.is_degenerate(Z) for Z in (Y1, Y2, Y3)]
+        ndeg = sum(dgs)
+        sigma = s.value(Y1) + s.value(Y2) + s.value(Y3) - s.chi
+        if ndeg == 2:
+            out.append(Violation(
+                "triple-closure", (Y1, Y2, Y3),
+                "two members degenerate but not the third",
+            ))
+            continue
+        expected = {3: (0,), 1: (1,), 0: (1, 2)}[ndeg]
+        if sigma not in expected:
+            out.append(Violation(
+                "triple-sum", (Y1, Y2, Y3),
+                f"triple sum minus chi is {sigma}, expected one of {expected}",
+            ))
+    return ValidationReport(tuple(out))
+
+
+def oracle_validate_via_union(s) -> ValidationReport:
+    """The pair-union validator as written before the value tables."""
+    g = s.graph
+    out = []
+    for Y, Yc in g.bcon_pairs:
+        t = s.value(Y) + s.value(Yc) - s.chi
+        if t not in (0, 1):
+            out.append(Violation(
+                "pair-sum", (Y, Yc),
+                f"value sum minus chi is {t}, expected 0 or 1",
+            ))
+    for Y1, Y2, U in g.admissible_pairs:
+        delta = s.value(U) - s.value(Y1) - s.value(Y2)
+        d1, d2, dU = (s.is_degenerate(Z) for Z in (Y1, Y2, U))
+        if d1 or d2:
+            expected = (0,)
+        elif dU:
+            expected = (-1,)
+        else:
+            expected = (0, -1)
+        if delta not in expected:
+            out.append(Violation(
+                "pair-union", (Y1, Y2, U),
+                f"union defect is {delta}, expected one of {expected}",
+            ))
+    return ValidationReport(tuple(out))

@@ -169,6 +169,27 @@ class TestVerdictCommands:
         assert doc["result"] == [1, -1]
         assert doc["steps"][0] == {"Y": [1], "beta_min": -4, "d": [3, -3]}
 
+    @pytest.mark.parametrize("multidegree", [
+        "5_0,-50", "+5,-5", "5,-\u0665", "5,", "5,-5x", "1" * 5000 + ",0",
+    ], ids=["underscore", "plus", "non-ascii-digit", "empty", "suffix", "5000-digits"])
+    def test_malformed_multidegree_exits_two(self, banana_files, capsys, multidegree):
+        graph, stability = banana_files
+        code = main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", multidegree])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--multidegree entry" in captured.err
+
+    def test_integer_tokens_may_carry_surrounding_spaces(self, banana_files, tmp_path, capsys):
+        graph, stability = banana_files
+        assert main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", " 5 , -5 "]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == [1, -1]
+        sheaf = tmp_path / "sheaf.json"
+        sheaf.write_text(json.dumps(sheaf_to_json(SheafData.line_bundle(banana(), (0, 0)))))
+        assert main(["specialize", "--graph", graph, "--sheaf", str(sheaf),
+                     "--partition", " 1 | 0 "]) == 0
+
     def test_normal_form(self, banana_files, capsys):
         graph, _ = banana_files
         g = banana()
@@ -368,6 +389,10 @@ class TestSpecializeInput:
         pytest.param(SHEAF, "0", "cover", id="not-covering"),
         pytest.param(SHEAF, "0|2", "--partition vertex 2", id="vertex-out-of-range"),
         pytest.param(SHEAF, "0,0|1", "repeat", id="repeated-partition-vertex"),
+        pytest.param(SHEAF, "0|0_1", "--partition vertex '0_1'", id="underscore-digits"),
+        pytest.param(SHEAF, "+0|1", "--partition vertex '+0'", id="plus-sign"),
+        pytest.param(SHEAF, "0|\u0661", "--partition vertex", id="non-ascii-digit"),
+        pytest.param(SHEAF, "0,|1", "--partition vertex ''", id="blank-token"),
         pytest.param(SHEAF, f"0|1,{HUGE}", str(HUGE), id="huge-partition-vertex"),
         pytest.param({"support": [0, HUGE], "multidegree": {"0": 0}, "nonfree": []},
                      "0", str(HUGE), id="huge-support-vertex"),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vstab import VStability
 from vstab.errors import MoveNotApplicable, NotAPartialOrder
 from vstab.graphenum import connected_multigraphs
-from vstab.graphs import mask_of
+from vstab.graphs import mask_of, vertices_of
 from vstab.posets import (
     _count_decompositions,
     check_deg_witness,
@@ -41,6 +42,7 @@ from conftest import (
     cycle5,
     cycle6,
     k4,
+    k4_plus_path2,
     k5,
     path3,
     single_vertex,
@@ -153,7 +155,9 @@ class TestPairSearch:
         (triangle, 28, "973a5c40c028f65a1bef9cbc9c32e3c093cd917818735c22537c2821562c6757"),
         (path3, 16, "32374198bee8dd7648d86abedb9466d5395c5b44ad0d5ca28f214e2106986817"),
         (k4, 1178, "120089cbaa287dff1a3bcec068c197869bcac6d52686a0e587fe6c6564e977fe"),
-    ], ids=["banana", "triangle", "path3", "k4"])
+        (cycle5, 10396, "81d0fe44abd347ed113e37aed34e89eb6d33b7738c52fc299d36aab6026083a0"),
+        (k4_plus_path2, 34106, "664b54c2fded5db45a0f6fdc0b73a6eb4b43946418734410d5cd295f9b1e3a38"),
+    ], ids=["banana", "triangle", "path3", "k4", "cycle5", "k4_plus_path2"])
     def test_dominating_stabilities_order(self, make, count, digest):
         doms = [
             [t.values for t in dominating_stabilities(s)]
@@ -161,6 +165,46 @@ class TestPairSearch:
         ]
         assert sum(map(len, doms)) == count
         assert _sha(doms) == digest
+
+
+    # sha256 of the values in output order of the full window, the
+    # tree-cut window and the orbits, recorded before the value tables
+    @pytest.mark.parametrize("make, counts, digests", [
+        (banana, (3, 2, 2), (
+            "ed293429f50edc2904dfbf36a2a9f1a44cd0391fa441b26070690821ce76c041",
+            "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a",
+            "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a")),
+        (k4, (291, 44, 44), (
+            "5e2498589aeb26f25f4d79fd5f76c923c9fa6af5aa657a3d1242584cce9e4110",
+            "4506d47e8970d4c237149d65f7cf89b672e04c2db55d1640936219030a9d7355",
+            "454d1636d15ad7f825ea7e7dacab31692d8b853868dc6b440f127644c4ad5013")),
+        (cycle5, (1697, 150, 150), (
+            "3613729b2ce5700b3e3e9fe99ae12a6cb607ce7914e73ac6402906442dc92015",
+            "349adcc526b3be5b22b13e04cd8baf3fc32f0b7d9bc8c1c4b659d2fdd2b70b8d",
+            "373d2bfa076f935949d3669a89456226b25f4f19bd9942e0ac3798f7fbfa52f3")),
+        (k5, (16321, 1100, 1100), (
+            "df828311f45643454b83c07e5dbc6cf30e2f1c9cb1781b275eb3a6da67000d44",
+            "c0dcb08803f8048cd6b4e63dd1f9846996b4ee7750416865ab9d1f6b9a59af2b",
+            "9379669be11b83e6c8058e82b094586355fe8c6a6d5d18cc56cd719aadb4389d")),
+        (cycle6, (24483, 1082, 1082), (
+            "323b95ae46d622b9026afbff4fb1f74ec22ddad4db7f0af97ff111b7c0b93998",
+            "6a8cf71f02bd97c1ac556ea84f1ea34ef341fb33138722ea7f7b43d61fc6403f",
+            "5d1de073f5b8ca43ddc3d31fb25aeda6fee5d8613549fd311fc78a5030bfa951")),
+        (k4_plus_path2, (2619, 176, 176), (
+            "050fdd03aad1b29ec3d50f825ea55f1ff2c5c6e1bc48afc04eb5f98dee6ddaec",
+            "1af6e445432e40cee9b6e24f84e99afea1d023ab138497c8d7143b6771163bd6",
+            "a973570ac657f75978b55bda1c54af412f11d6091bd21a259a2b8e75b0d01c99")),
+    ], ids=[f.__name__ for f in LADDER])
+    def test_window_and_orbit_digests(self, make, counts, digests):
+        g = make()
+        outputs = (
+            enumerate_window_stabilities(g),
+            enumerate_window_stabilities(g, tree_cut_pattern=True),
+            enumerate_orbits(g),
+        )
+        for out, count, digest in zip(outputs, counts, digests):
+            assert len(out) == count
+            assert _sha([s.values for s in out]) == digest
 
 
 class TestMinimalElements:
@@ -357,6 +401,24 @@ class TestTranslation:
         assert nf.values == (0, 1)
         assert tau == (-3, 3)
         assert translate(s, tau) == nf
+
+    def test_translate_matches_vertex_sums(self):
+        rng = random.Random(6)
+        for make in LADDER:
+            g = make()
+            for s in enumerate_orbits(g)[:25]:
+                tau = [rng.randint(-5, 5) for _ in range(g.n)]
+                t = translate(s, tau)
+                assert t.chi == s.chi + sum(tau)
+                assert t.values == tuple(
+                    v + sum(tau[x] for x in vertices_of(Y))
+                    for v, Y in zip(s.values, g.biconnected_subcurves)
+                )
+
+    def test_normal_form_computed_once(self):
+        s = translate(enumerate_orbits(k4())[5], (1, -2, 0, 3))
+        assert normal_form(s) is normal_form(s)
+        assert orbit_equal(s, normal_form(s)[0])
 
     def test_zero_translation(self):
         g = triangle()

@@ -1,13 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstab import DualGraph, VStability, pullback
 from vstab.errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
+from vstab.graphenum import connected_multigraphs
 from vstab.graphs import vertices_of
-from vstab.posets import enumerate_window_stabilities
+from vstab.posets import enumerate_window_stabilities, translate
 from vstab.stability import DegeneracySet
 
-from conftest import banana, k4, path3, triangle
+from conftest import (
+    LADDER,
+    banana,
+    k4,
+    oracle_validate,
+    oracle_validate_via_union,
+    path3,
+    triangle,
+)
 
 
 def make(graph, chi, mapping):
@@ -75,6 +86,64 @@ class TestValidatorAgreement:
         values[idx] += bump
         t = VStability(g, s.chi, tuple(values))
         assert t.validate().ok == t.validate_via_union().ok
+
+
+def _perturbed(s, rng):
+    """s with one to three entries moved by +-1 or +-2."""
+    values = list(s.values)
+    for i in rng.sample(range(len(values)), rng.randint(1, min(3, len(values)))):
+        values[i] += rng.choice((-2, -1, 1, 2))
+    return VStability(s.graph, s.chi, tuple(values))
+
+
+def _translated(s, rng):
+    """s moved by a seeded translation of nonzero total, so chi != 0."""
+    tau = [rng.randint(-3, 3) for _ in range(s.graph.n)]
+    tau[0] += 1 if sum(tau) == 0 else 0
+    return translate(s, tau)
+
+
+class TestValidatorsMatchOracles:
+    """The table-driven validators against their method-call originals:
+    equal reports, so the same violations in the same order with the
+    same messages."""
+
+    @staticmethod
+    def check(s):
+        assert s.validate() == oracle_validate(s)
+        assert s.validate_via_union() == oracle_validate_via_union(s)
+
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_window_stabilities_of_ladder(self, make):
+        for s in enumerate_window_stabilities(make()):
+            self.check(s)
+
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_perturbations_and_translates_of_ladder(self, make):
+        rng = random.Random(make.__name__)
+        stabs = enumerate_window_stabilities(make())
+        invalid = 0
+        for s in rng.sample(stabs, min(150, len(stabs))):
+            self.check(_translated(s, rng))
+            for _ in range(4):
+                t = _perturbed(s, rng)
+                self.check(t)
+                self.check(_translated(t, rng))
+                invalid += not t.is_valid
+        assert invalid > 0
+
+    def test_catalogue(self):
+        rng = random.Random(46)
+        checked = 0
+        for g in connected_multigraphs(4, 6):
+            for s in enumerate_window_stabilities(g):
+                cases = [s, _translated(s, rng)]
+                if s.values:    # the catalogue includes single vertices
+                    cases.append(_perturbed(s, rng))
+                for t in cases:
+                    self.check(t)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestDegeneracy:
