@@ -1,27 +1,45 @@
-"""Exact-rational numerical polarizations and classical detection.
+"""Exact numerical polarizations and classical detection.
 
 A numerical polarization of characteristic chi stores one rational per
 component, summing to chi; its value on a subcurve is the sum over the
 components (additivity is structural).  The ceiling map produces a
 V-stability, and :func:`is_classical` decides, by exact Fourier-Motzkin
-elimination over the rationals, whether a given V-stability arises this
-way, returning a witness polarization when it does.
+elimination, whether a given V-stability arises this way, returning a
+witness polarization when it does.
 
-Rationals are ``fractions.Fraction`` (arbitrary-precision); exactness is
-non-negotiable for the strict-inequality feasibility decision.
+The decision works on integer rows: the equalities are solved by
+fraction-free Gauss-Jordan elimination, and the eliminated inequalities are
+primitive integer rows whose bounds are reduced (numerator, denominator)
+pairs.  Rationals (``fractions.Fraction``) appear only at the
+back-substitution of the witness.  Exactness is non-negotiable for the
+strict-inequality feasibility decision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InvalidPolarization, InvalidStability
-from .graphs import DualGraph, vertices_of
+from .graphs import DualGraph, subset_sums, vertices_of
 from .stability import VStability
+
+
+def _integer(x, what: str) -> int:
+    """An exact integer input: an ``int`` that is not a ``bool``."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidPolarization(f"{what} must be an int, got {x!r}")
+    return x
+
+
+def _rational(x, what: str) -> Fraction:
+    """An exact rational input: an ``int`` that is not a ``bool``, or a
+    ``Fraction``; floats and strings are refused, never converted."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(_integer(x, what))
 
 
 @dataclass(frozen=True)
@@ -31,7 +49,8 @@ class NumericalPolarization:
     psi: tuple[Fraction, ...]
 
     def __post_init__(self):
-        psi = tuple(Fraction(x) for x in self.psi)
+        _integer(self.chi, "chi")
+        psi = tuple(_rational(x, "a psi entry") for x in self.psi)
         object.__setattr__(self, "psi", psi)
         if len(psi) != self.graph.n:
             raise InvalidPolarization("one rational per component required")
@@ -45,13 +64,18 @@ class NumericalPolarization:
 
     def induced_vstability(self) -> VStability:
         """Ceiling map: the V-stability with value ceil(psi_Y) on each
-        biconnected Y.  Its degeneracy set is exactly the integrality locus."""
+        biconnected Y.  Its degeneracy set is exactly the integrality locus.
+
+        Over the common denominator M of the entries, psi_Y is S_Y / M with
+        S_Y an integer subset sum, and its ceiling is -((-S_Y) // M)."""
         g = self.graph
-        values = tuple(math.ceil(self.value_on(Y)) for Y in g.biconnected_subcurves)
+        M = lcm(*(x.denominator for x in self.psi))
+        sums = subset_sums([x.numerator * (M // x.denominator) for x in self.psi])
+        values = tuple(-((-sums[Y]) // M) for Y in g.biconnected_subcurves)
         return VStability(g, self.chi, values)
 
     def translated(self, tau) -> "NumericalPolarization":
-        tau = tuple(int(t) for t in tau)
+        tau = tuple(_integer(t, "a translation entry") for t in tau)
         psi = tuple(p + t for p, t in zip(self.psi, tau))
         return NumericalPolarization(self.graph, self.chi + sum(tau), psi)
 
@@ -62,13 +86,17 @@ def translate_polarization(p: NumericalPolarization, tau) -> NumericalPolarizati
 
 
 def from_ample(graph: DualGraph, degrees, chi: int) -> NumericalPolarization:
-    """Slope polarization of an ample class: psi_v = deg_v * chi / total."""
-    degrees = tuple(int(d) for d in degrees)
+    """Slope polarization of an ample class: psi_v = deg_v * chi / total.
+    An ample class has positive degree on every component."""
+    chi = _integer(chi, "chi")
+    degrees = tuple(_integer(d, "a degree") for d in degrees)
     if len(degrees) != graph.n:
         raise InvalidPolarization("one degree per component required")
+    if any(d <= 0 for d in degrees):
+        raise InvalidPolarization(
+            f"an ample class has positive degree on every component, got {degrees}"
+        )
     total = sum(degrees)
-    if total <= 0:
-        raise InvalidPolarization("total degree must be positive")
     psi = tuple(Fraction(d * chi, total) for d in degrees)
     return NumericalPolarization(graph, chi, psi)
 
@@ -76,7 +104,7 @@ def from_ample(graph: DualGraph, degrees, chi: int) -> NumericalPolarization:
 def from_slopes(graph: DualGraph, slopes) -> NumericalPolarization:
     """Polarization attached to per-component slopes of a vector bundle:
     psi_v = -slope_v, with characteristic the negated (integral) total."""
-    slopes = tuple(Fraction(x) for x in slopes)
+    slopes = tuple(_rational(x, "a slope") for x in slopes)
     if len(slopes) != graph.n:
         raise InvalidPolarization("one slope per component required")
     total = sum(slopes)
@@ -92,47 +120,63 @@ def from_slopes(graph: DualGraph, slopes) -> NumericalPolarization:
 def is_classical(s: VStability) -> Optional[NumericalPolarization]:
     """Witness polarization with ceiling s, or None if none exists.
 
-    Feasibility system over the rationals in the per-component values:
-    one equality for the total, an equality psi_Y = s_Y for each degenerate
-    Y, and strict bounds s_Y - 1 < psi_Y < s_Y for each nondegenerate Y.
-    Decided by exact Fourier-Motzkin elimination tracking strict vs. weak
-    inequalities; the witness is extracted by back-substitution taking
-    interval midpoints.
+    Feasibility system in the per-component values: one equality for the
+    total, an equality psi_Y = s_Y for each degenerate Y, and strict bounds
+    s_Y - 1 < psi_Y < s_Y for each nondegenerate Y.  The equalities are
+    solved by fraction-free Gauss-Jordan elimination; the bounds, rewritten
+    in the free variables, are integer rows, decided by exact
+    Fourier-Motzkin elimination tracking strict vs. weak inequalities.
+    Integer rows throughout, rationals only at back-substitution: the
+    witness takes interval midpoints.
     """
     if not s.is_valid:
         raise InvalidStability("classical detection requires a valid V-stability")
     g = s.graph
     n = g.n
+    value = s.as_dict()
 
-    equalities = [([1] * n, Fraction(s.chi))]
-    inequalities = []  # (coeffs over all vars, bound, strict) meaning coeffs . x < / <= bound
+    equalities = [((1,) * n, s.chi)]
+    bounds = []  # (Y, s_Y) for each nondegenerate Y
     for Y in g.biconnected_subcurves:
-        ind = [1 if (Y >> v) & 1 else 0 for v in range(n)]
-        if s.is_degenerate(Y):
-            equalities.append((ind, Fraction(s.value(Y))))
+        if value[Y] + value[g.complement(Y)] == s.chi:
+            equalities.append((tuple((Y >> v) & 1 for v in range(n)), value[Y]))
         else:
-            inequalities.append((ind, Fraction(s.value(Y)), True))
-            inequalities.append(
-                ([-c for c in ind], Fraction(1 - s.value(Y)), True)
-            )
+            bounds.append((Y, value[Y]))
 
     solved = _solve_equalities(equalities, n)
     if solved is None:
         return None
     pivots, free = solved
 
-    reduced = []
-    for coeffs, bound, strict in inequalities:
-        row, rhs = _substitute(coeffs, bound, pivots, free)
-        reduced.append((row, rhs, strict))
+    # scale * x_v = const + coeffs . (free variables), for every variable v
+    scale = lcm(*(D for D, _, _ in pivots.values()))
+    forms = []
+    for v in range(n):
+        if v in pivots:
+            D, a, r = pivots[v]
+            m = scale // D
+            forms.append((tuple(-m * c for c in a), m * r))
+        else:
+            forms.append((tuple(scale if f == v else 0 for f in free), 0))
+
+    reduced = []  # the strict bounds times scale, as integer rows
+    for Y, v in bounds:
+        row = [0] * len(free)
+        const = 0
+        for u in vertices_of(Y):
+            coeffs, k = forms[u]
+            row = [x + y for x, y in zip(row, coeffs)]
+            const += k
+        reduced.append((row, scale * v - const, True))
+        reduced.append(([-x for x in row], const - scale * (v - 1), True))
 
     assignment_free = _fm_witness(reduced, len(free))
     if assignment_free is None:
         return None
 
-    values = {free[i]: assignment_free[i] for i in range(len(free))}
-    for var, (const, lin) in pivots.items():
-        values[var] = const + sum(c * values[f] for f, c in lin.items())
+    values = dict(zip(free, assignment_free))
+    for p, (D, a, r) in pivots.items():
+        values[p] = Fraction(r - sum(c * values[f] for f, c in zip(free, a))) / D
     psi = tuple(values[v] for v in range(n))
     witness = NumericalPolarization(g, s.chi, psi)
     if witness.induced_vstability() != s:
@@ -141,113 +185,86 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
 
 
 def _solve_equalities(rows, n):
-    """Exact RREF.  Returns (pivots, free_vars) with each pivot variable
-    expressed as const + sum over free vars, or None when inconsistent."""
-    mat = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
+    """Fraction-free Gauss-Jordan elimination of integer rows
+    ``(coeffs, rhs)``, each row kept primitive.  The pivot of a column is the
+    first remaining row with a nonzero entry there.  Returns (pivots, free):
+    ``pivots[p] = (D, a, r)`` with D != 0 means D*x_p + sum_i a[i]*x_free[i]
+    = r; None when the system is inconsistent."""
+    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
     pivot_cols = []
     r = 0
     for col in range(n):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                combined = [pv * x - f * y for x, y in zip(row, prow)]
+                h = gcd(*combined)
+                mat[i] = [x // h for x in combined] if h > 1 else combined
         pivot_cols.append(col)
         r += 1
-    for i in range(r, len(mat)):
-        if mat[i][n] != 0:
-            return None
+    if any(row[n] for row in mat[r:]):
+        return None
     free = [c for c in range(n) if c not in pivot_cols]
-    pivots = {}
-    for i, col in enumerate(pivot_cols):
-        lin = {f: -mat[i][f] for f in free if mat[i][f] != 0}
-        pivots[col] = (mat[i][n], lin)
+    pivots = {
+        col: (row[col], tuple(row[f] for f in free), row[n])
+        for row, col in zip(mat, pivot_cols)
+    }
     return pivots, free
-
-
-def _substitute(coeffs, bound, pivots, free):
-    """Rewrite coeffs . x < bound in terms of the free variables."""
-    row = {f: Fraction(0) for f in free}
-    rhs = Fraction(bound)
-    for var, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if var in pivots:
-            const, lin = pivots[var]
-            rhs -= c * const
-            for f, lc in lin.items():
-                row[f] += c * lc
-        else:
-            row[var] += c
-    return tuple(row[f] for f in free), rhs
-
-
-def _normalize(row, rhs):
-    """Scale to a primitive integer left-hand side for deduplication."""
-    denoms = [c.denominator for c in row] or [1]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(c * scale) for c in row]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return (0,) * len(ints), rhs * scale
-    return tuple(c // g for c in ints), rhs * Fraction(scale, g)
 
 
 def _fm_witness(inequalities, nvars):
     """Feasibility of a system of strict/weak linear inequalities by
-    Fourier-Motzkin elimination; returns a satisfying point or None.
+    Fourier-Motzkin elimination; returns a satisfying point (Fractions) or
+    None.
 
-    Variables are eliminated in index order; at each stage the live
-    inequality set is recorded so the witness can be back-substituted with
-    interval midpoints.
+    Each row ``(coeffs, bound, strict)`` means coeffs . x < bound, or <= when
+    not strict, with integer coefficients and an int or Fraction bound.
+    Rows are kept as primitive integer keys, each with the tightest bound
+    seen as a reduced (num, den) pair.  Variables are eliminated in index
+    order; at each stage the live inequality set is recorded so the witness
+    can be back-substituted with interval midpoints.
     """
     live = {}
     for row, rhs, strict in inequalities:
-        if not _admit(live, row, rhs, strict):
+        if not _admit(live, row, rhs.numerator, rhs.denominator, strict):
             return None
 
     stages = []
-    current = [(k, b, st) for k, (b, st) in live.items()]
+    current = list(live.items())
     for var in range(nvars):
         stages.append(current)
-        uppers = [(k, b, st) for k, b, st in current if k[var] > 0]
-        lowers = [(k, b, st) for k, b, st in current if k[var] < 0]
-        rest = [(k, b, st) for k, b, st in current if k[var] == 0]
-        live = {}
-        for k, b, st in rest:
-            live[k] = _tighter(live.get(k), (b, st))
-        for ku, bu, stu in uppers:
-            for kl, bl, stl in lowers:
-                a, c = ku[var], -kl[var]
-                row = tuple(
-                    Fraction(c * ku[i] + a * kl[i]) for i in range(nvars)
-                )
-                if not _admit(live, row, c * bu + a * bl, stu or stl):
+        uppers, lowers, live = [], [], {}
+        for k, b in current:
+            if k[var] > 0:
+                uppers.append((k, b))
+            elif k[var] < 0:
+                lowers.append((k, b))
+            else:
+                live[k] = b
+        for ku, (nu, du, stu) in uppers:
+            a = ku[var]
+            for kl, (nl, dl, stl) in lowers:
+                c = -kl[var]
+                row = [c * x + a * y for x, y in zip(ku, kl)]
+                if not _admit(live, row, c * nu * dl + a * nl * du, du * dl, stu or stl):
                     return None
-        current = [(k, b, st) for k, (b, st) in live.items()]
+        current = list(live.items())
 
     values = [Fraction(0)] * nvars
     for var in range(nvars - 1, -1, -1):
         lo = hi = None
         lo_strict = hi_strict = False
-        for k, b, st in stages[var]:
+        for k, (num, den, st) in stages[var]:
             c = k[var]
             if c == 0:
                 continue
-            t = (b - sum(k[i] * values[i] for i in range(var + 1, nvars))) / c
+            t = (Fraction(num, den) - sum(k[i] * values[i] for i in range(var + 1, nvars))) / c
             if c > 0:
                 if hi is None or t < hi:
                     hi, hi_strict = t, st
@@ -271,23 +288,28 @@ def _fm_witness(inequalities, nvars):
     return values
 
 
-def _admit(live, row, rhs, strict) -> bool:
-    """Normalise a row into ``live``, keeping the tighter bound per
-    left-hand side; a row with no variables is checked instead, and False
-    means it is violated, so the system is infeasible."""
-    key, bound = _normalize(row, rhs)
-    if not any(key):
-        return bound > 0 if strict else bound >= 0
-    live[key] = _tighter(live.get(key), (bound, strict))
-    return True
-
-
-def _tighter(old, new):
-    """Keep the tighter of two (bound, strict) upper constraints."""
+def _admit(live, row, num, den, strict) -> bool:
+    """Put the row ``row . x < num/den`` (den > 0; <= when not strict) into
+    ``live`` under its primitive key, keeping the tighter bound, and a
+    strict one over a weak one at the same bound.  A row with no variables
+    is checked instead; False means it is violated, so the system is
+    infeasible."""
+    g = gcd(*row)
+    if not g:
+        return num > 0 if strict else num >= 0
+    if g > 1:
+        row = [x // g for x in row]
+        den *= g
+    h = gcd(num, den)
+    if h > 1:
+        num //= h
+        den //= h
+    key = tuple(row)
+    old = live.get(key)
     if old is None:
-        return new
-    if new[0] < old[0]:
-        return new
-    if new[0] == old[0] and new[1] and not old[1]:
-        return new
-    return old
+        live[key] = (num, den, strict)
+    else:
+        lhs, rhs = num * old[1], old[0] * den
+        if lhs < rhs or (lhs == rhs and strict and not old[2]):
+            live[key] = (num, den, strict)
+    return True

@@ -5,6 +5,10 @@ connectivity works on adjacency sets, component counts use union-find,
 so the formulas under test are checked against independent computations.
 """
 
+import math
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from vstab import DualGraph
@@ -253,3 +257,165 @@ def oracle_validate_via_union(s) -> ValidationReport:
                 f"union defect is {delta}, expected one of {expected}",
             ))
     return ValidationReport(tuple(out))
+
+
+def oracle_ceiling(p) -> tuple[int, ...]:
+    """The ceiling map as written before the integer tables: one
+    ``math.ceil`` of a Fraction sum per biconnected subcurve."""
+    return tuple(
+        math.ceil(sum((p.psi[v] for v in vertices_of(Y)), Fraction(0)))
+        for Y in p.graph.biconnected_subcurves
+    )
+
+
+def oracle_is_classical(s):
+    """The classicality decider as written before the integer elimination,
+    all in ``Fraction`` arithmetic: the witness psi tuple, or None."""
+    g = s.graph
+    n = g.n
+    equalities = [([1] * n, Fraction(s.chi))]
+    inequalities = []
+    for Y in g.biconnected_subcurves:
+        ind = [1 if (Y >> v) & 1 else 0 for v in range(n)]
+        if s.is_degenerate(Y):
+            equalities.append((ind, Fraction(s.value(Y))))
+        else:
+            inequalities.append((ind, Fraction(s.value(Y)), True))
+            inequalities.append(([-c for c in ind], Fraction(1 - s.value(Y)), True))
+    solved = _oracle_solve_equalities(equalities, n)
+    if solved is None:
+        return None
+    pivots, free = solved
+    reduced = [
+        _oracle_substitute(coeffs, bound, pivots, free) + (strict,)
+        for coeffs, bound, strict in inequalities
+    ]
+    assignment_free = oracle_fm_witness(reduced, len(free))
+    if assignment_free is None:
+        return None
+    values = {free[i]: assignment_free[i] for i in range(len(free))}
+    for var, (const, lin) in pivots.items():
+        values[var] = const + sum(c * values[f] for f, c in lin.items())
+    return tuple(values[v] for v in range(n))
+
+
+def _oracle_solve_equalities(rows, n):
+    mat = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        pv = mat[r][col]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(mat[i][n] != 0 for i in range(r, len(mat))):
+        return None
+    free = [c for c in range(n) if c not in pivot_cols]
+    pivots = {}
+    for i, col in enumerate(pivot_cols):
+        lin = {f: -mat[i][f] for f in free if mat[i][f] != 0}
+        pivots[col] = (mat[i][n], lin)
+    return pivots, free
+
+
+def _oracle_substitute(coeffs, bound, pivots, free):
+    row = {f: Fraction(0) for f in free}
+    rhs = Fraction(bound)
+    for var, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if var in pivots:
+            const, lin = pivots[var]
+            rhs -= c * const
+            for f, lc in lin.items():
+                row[f] += c * lc
+        else:
+            row[var] += c
+    return tuple(row[f] for f in free), rhs
+
+
+def _oracle_normalize(row, rhs):
+    scale = 1
+    for c in row:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in row]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    if g == 0:
+        return (0,) * len(ints), rhs * scale
+    return tuple(c // g for c in ints), rhs * Fraction(scale, g)
+
+
+def oracle_fm_witness(inequalities, nvars):
+    """Fourier-Motzkin on Fraction rows ``(coeffs, bound, strict)``: a
+    satisfying point (list of Fractions) or None."""
+    def admit(live, row, rhs, strict):
+        key, bound = _oracle_normalize(row, rhs)
+        if not any(key):
+            return bound > 0 if strict else bound >= 0
+        live[key] = tighter(live.get(key), (bound, strict))
+        return True
+
+    def tighter(old, new):
+        if old is None or new[0] < old[0]:
+            return new
+        if new[0] == old[0] and new[1] and not old[1]:
+            return new
+        return old
+
+    live = {}
+    for row, rhs, strict in inequalities:
+        if not admit(live, tuple(Fraction(c) for c in row), Fraction(rhs), strict):
+            return None
+    stages = []
+    current = [(k, b, st) for k, (b, st) in live.items()]
+    for var in range(nvars):
+        stages.append(current)
+        uppers = [(k, b, st) for k, b, st in current if k[var] > 0]
+        lowers = [(k, b, st) for k, b, st in current if k[var] < 0]
+        live = {}
+        for k, b, st in current:
+            if k[var] == 0:
+                live[k] = tighter(live.get(k), (b, st))
+        for ku, bu, stu in uppers:
+            for kl, bl, stl in lowers:
+                a, c = ku[var], -kl[var]
+                row = tuple(Fraction(c * ku[i] + a * kl[i]) for i in range(nvars))
+                if not admit(live, row, c * bu + a * bl, stu or stl):
+                    return None
+        current = [(k, b, st) for k, (b, st) in live.items()]
+    values = [Fraction(0)] * nvars
+    for var in range(nvars - 1, -1, -1):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for k, b, st in stages[var]:
+            c = k[var]
+            if c == 0:
+                continue
+            t = (b - sum(k[i] * values[i] for i in range(var + 1, nvars))) / c
+            if c > 0:
+                if hi is None or t < hi:
+                    hi, hi_strict = t, st
+                elif t == hi:
+                    hi_strict = hi_strict or st
+            else:
+                if lo is None or t > lo:
+                    lo, lo_strict = t, st
+                elif t == lo:
+                    lo_strict = lo_strict or st
+        if lo is not None and hi is not None:
+            values[var] = (lo + hi) / 2
+        elif lo is not None:
+            values[var] = lo + 1
+        elif hi is not None:
+            values[var] = hi - 1
+    return values

@@ -206,3 +206,47 @@ def test_golden_extra_output(tmp_path, capsys, case):
     code = main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == golden
+
+
+K5 = {"genera": [0] * 5, "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
+C5_SUBCURVES = (
+    (0,), (1,), (0, 1), (2,), (1, 2), (0, 1, 2), (3,), (2, 3), (1, 2, 3),
+    (0, 1, 2, 3), (4,), (0, 4), (0, 1, 4), (0, 1, 2, 4), (3, 4), (0, 3, 4),
+    (0, 1, 3, 4), (2, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4),
+)
+C5_VALUES = (0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1)
+K5_SUBCURVES = tuple(
+    tuple(v for v in range(5) if (mask >> v) & 1) for mask in range(1, 31)
+)
+K5_VALUES = (
+    -1, 1, 0, 1, 0, 1, 0, 1, -1, 1, 0, 1, 0, 2, 0,
+    1, -1, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 2,
+)
+K5_TAU = (2, -1, 0, 1, 1)
+
+# graph, stability document and (exit code, sha256 of stdout) of
+# ``vstab classical``: general stabilities whose witnesses need several
+# rounds of midpoints (denominators 16 on C5, 64 on K5), and a K5 translate
+# with chi = 3; recorded with the Fraction elimination
+CLASSICAL = {
+    "C5": (C5, _stability(0, zip(C5_SUBCURVES, C5_VALUES)),
+           (0, "46d36019e37ee024fa29927e19dbb34bd9ea5136e7b510831bd2333512e5b5ad")),
+    "K5": (K5, _stability(0, zip(K5_SUBCURVES, K5_VALUES)),
+           (0, "f57f4e4f0447974ef79fa427aaf6dcf68bdde704482e099492ea2b7d0e38993a")),
+    "K5-translate": (K5, _stability(sum(K5_TAU), (
+        (Y, v + sum(K5_TAU[i] for i in Y)) for Y, v in zip(K5_SUBCURVES, K5_VALUES)
+    )), (0, "5c146c3709eade9dff87b467b37f71d6e9fe1191b7d72c0301a524d9d340953e")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSICAL))
+def test_golden_classical_output(tmp_path, capsys, case):
+    graph, stability, golden = CLASSICAL[case]
+    paths = {}
+    for key, doc in (("graph", graph), ("stability", stability)):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    code = main(["classical", "--graph", str(paths["graph"]),
+                 "--stability", str(paths["stability"])])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == golden

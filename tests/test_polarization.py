@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vstab import (
     NumericalPolarization,
@@ -12,10 +12,23 @@ from vstab import (
     translate_polarization,
 )
 from vstab.errors import InvalidPolarization, InvalidStability
+from vstab.graphenum import connected_multigraphs
+from vstab.polarization import _fm_witness
 from vstab.posets import enumerate_orbits, translate
 from vstab.stability import VStability
 
-from conftest import banana, cycle4, cycle5, k4, path3, triangle
+from conftest import (
+    LADDER,
+    banana,
+    cycle4,
+    cycle5,
+    k4,
+    oracle_ceiling,
+    oracle_fm_witness,
+    oracle_is_classical,
+    path3,
+    triangle,
+)
 
 
 def rational_polarization(g, rng, denominator_bound=12, spread=4):
@@ -40,6 +53,53 @@ class TestValueOn:
     def test_total_mismatch_rejected(self):
         with pytest.raises(InvalidPolarization):
             NumericalPolarization(banana(), 1, (Fraction(1), Fraction(1)))
+
+
+class TestExactInputs:
+    # floats and bools were once read as rationals: 0.1 became
+    # 3602879701896397/36028797018963968 and True became 1
+
+    def test_ints_and_fractions_accepted(self):
+        p = NumericalPolarization(banana(), 1, (Fraction(1, 2), Fraction(1, 2)))
+        q = NumericalPolarization(banana(), 1, (2, -1))
+        assert p.psi == (Fraction(1, 2),) * 2 and q.psi == (Fraction(2), Fraction(-1))
+
+    def test_float_psi_rejected(self):
+        with pytest.raises(InvalidPolarization, match="psi entry"):
+            NumericalPolarization(banana(), 0, (0.1, -0.1))
+
+    def test_bool_psi_rejected(self):
+        with pytest.raises(InvalidPolarization, match="psi entry"):
+            NumericalPolarization(banana(), 1, (True, 0))
+
+    def test_string_psi_rejected(self):
+        with pytest.raises(InvalidPolarization, match="psi entry"):
+            NumericalPolarization(banana(), 0, ("1/2", "-1/2"))
+
+    def test_bool_chi_rejected(self):
+        with pytest.raises(InvalidPolarization, match="chi"):
+            NumericalPolarization(banana(), True, (1, 0))
+
+    def test_float_slope_rejected(self):
+        with pytest.raises(InvalidPolarization, match="slope"):
+            from_slopes(banana(), (0.5, -0.5))
+
+    def test_bool_slope_rejected(self):
+        with pytest.raises(InvalidPolarization, match="slope"):
+            from_slopes(banana(), (True, False))
+
+    def test_float_degree_rejected(self):
+        with pytest.raises(InvalidPolarization, match="degree"):
+            from_ample(banana(), (1.5, 1), 1)
+
+    def test_bool_degree_rejected(self):
+        with pytest.raises(InvalidPolarization, match="degree"):
+            from_ample(banana(), (True, True), 1)
+
+    def test_float_translation_rejected(self):
+        p = from_ample(banana(), (1, 1), 1)
+        with pytest.raises(InvalidPolarization, match="translation"):
+            translate_polarization(p, (0.5, 0))
 
 
 class TestCeiling:
@@ -158,6 +218,14 @@ class TestStandardConstructions:
         with pytest.raises(InvalidPolarization):
             from_ample(banana(), (0, 0), 1)
 
+    def test_from_ample_not_ample_rejected(self):
+        # positive total, but not positive on every component: this once
+        # returned psi (3/2, -1/2)
+        with pytest.raises(InvalidPolarization, match="ample"):
+            from_ample(banana(), (3, -1), 1)
+        with pytest.raises(InvalidPolarization, match="ample"):
+            from_ample(triangle(), (2, 0, 1), 1)
+
     def test_from_slopes_characteristic(self):
         p = from_slopes(banana(), (Fraction(-3, 2), Fraction(-3, 2)))
         assert p.chi == 3 and p.psi == (Fraction(3, 2), Fraction(3, 2))
@@ -201,3 +269,72 @@ class TestTranslation:
         assert shifted.induced_vstability() == translate(
             p.induced_vstability(), tau
         )
+
+
+def _translated(s, rng):
+    """s moved by a seeded translation of nonzero total, so chi != 0."""
+    tau = [rng.randint(-3, 3) for _ in range(s.graph.n)]
+    tau[0] += 1 if sum(tau) == 0 else 0
+    return translate(s, tau)
+
+
+class TestMatchesOracles:
+    """The integer elimination and ceiling map against their Fraction
+    originals in conftest: the same witness psi, entry for entry."""
+
+    @staticmethod
+    def check(s):
+        w = is_classical(s)
+        assert (None if w is None else w.psi) == oracle_is_classical(s)
+
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_orbits_of_ladder(self, make):
+        rng = random.Random(make.__name__)
+        for s in enumerate_orbits(make()):
+            self.check(s)
+            self.check(_translated(s, rng))
+
+    def test_orbits_of_catalogue(self):
+        rng = random.Random(46)
+        for g in connected_multigraphs(4, 6):
+            for s in enumerate_orbits(g):
+                self.check(s)
+                self.check(_translated(s, rng))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_ceiling(self, seed):
+        rng = random.Random(seed)
+        g = rng.choice(LADDER)()
+        p = rational_polarization(g, rng)
+        if p.chi == 0:
+            p = translate_polarization(p, (1,) + (0,) * (g.n - 1))
+        assert p.induced_vstability().values == oracle_ceiling(p)
+
+
+# few distinct bounds, so that rows with one key often meet at one bound
+# and the strict-over-weak rule is exercised
+_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+@given(st.integers(1, 3), _ROWS)
+@example(1, [([1, 0, 0], Fraction(0), False), ([2, 0, 0], Fraction(0), True),
+             ([-1, 0, 0], Fraction(0), False)])
+@example(1, [([1, 0, 0], Fraction(0), True), ([2, 0, 0], Fraction(0), False),
+             ([-1, 0, 0], Fraction(0), False)])
+@settings(max_examples=300, deadline=None)
+def test_fm_witness_matches_oracle(nvars, rows):
+    system = [(tuple(coeffs[:nvars]), bound, strict) for coeffs, bound, strict in rows]
+    out = _fm_witness(system, nvars)
+    assert out == oracle_fm_witness(system, nvars)
+    if out is not None:
+        for coeffs, bound, strict in system:
+            lhs = sum(c * x for c, x in zip(coeffs, out))
+            assert lhs < bound if strict else lhs <= bound
