@@ -29,6 +29,13 @@ EXIT_INPUT = 2
 # n = 7 with 8 edges (4.76 M) or 9 edges (15.6 M).
 MAX_SCAN_WALK = 2_000_000
 
+# The most window stabilities `poset --kind vstab` puts through the
+# all-pairs Hasse diagram, checked after the enumeration.  The diagram asks
+# vstab_leq once per ordered pair: C5 (1697 elements) takes about 8 s of
+# CPU time and K4 plus a 2-path (2619) about 20 s, both admitted; K5
+# (16 321) or C6 (24 483) would take 2.7e8 or 6.0e8 calls.
+MAX_POSET_ELEMENTS = 3000
+
 
 def _load_json(path: str):
     try:
@@ -162,6 +169,11 @@ def cmd_poset(args) -> int:
             )
     else:
         stabs = posets.enumerate_window_stabilities(g)
+        if len(stabs) > MAX_POSET_ELEMENTS:
+            raise ValueError(
+                f"--kind vstab: the window has {len(stabs)} stabilities, more than "
+                f"{MAX_POSET_ELEMENTS} for one Hasse diagram"
+            )
         if args.chi:
             shift = (args.chi,) + (0,) * (g.n - 1)
             stabs = [posets.translate(s, shift) for s in stabs]

@@ -56,36 +56,38 @@ def is_canonical(n: int, edges) -> bool:
             heads.append(v)
 
     sigma = [0] * n
-
-    def larger(l: int, used: int) -> bool:
-        """Some completion of sigma[:l] gives a larger string."""
-        if l == n:
-            for i in range(2, n):
-                Ai, Bi = A[i], A[sigma[i]]
-                for j in range(i + 1, n):
-                    if Bi[sigma[j]] != Ai[j]:
-                        return Bi[sigma[j]] > Ai[j]
-            return False
-        head = A[sigma[0]]
-        for w in range(n):
-            if used >> w & 1 or head[w] != row0[l - 1]:
-                continue
-            if l >= 2:
-                b, a = A[sigma[1]][w], A[1][l]
-                if b < a:
-                    continue
-                if b > a:
-                    return True
-            sigma[l] = w
-            if larger(l + 1, used | 1 << w):
-                return True
-        return False
-
     for v in heads:
         sigma[0] = v
-        if larger(1, 1 << v):
+        if _larger(A, row0, sigma, 1, 1 << v):
             return False
     return True
+
+
+def _larger(A, row0, sigma, l: int, used: int) -> bool:
+    """Some completion of sigma[:l] gives a larger string than the
+    multiplicity rows ``A`` (the search of ``is_canonical``)."""
+    n = len(A)
+    if l == n:
+        for i in range(2, n):
+            Ai, Bi = A[i], A[sigma[i]]
+            for j in range(i + 1, n):
+                if Bi[sigma[j]] != Ai[j]:
+                    return Bi[sigma[j]] > Ai[j]
+        return False
+    head = A[sigma[0]]
+    for w in range(n):
+        if used >> w & 1 or head[w] != row0[l - 1]:
+            continue
+        if l >= 2:
+            b, a = A[sigma[1]][w], A[1][l]
+            if b < a:
+                continue
+            if b > a:
+                return True
+        sigma[l] = w
+        if _larger(A, row0, sigma, l + 1, used | 1 << w):
+            return True
+    return False
 
 
 def walk_size(max_vertices: int, max_edges: int, cap: int) -> int:

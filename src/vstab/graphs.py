@@ -349,7 +349,7 @@ class DualGraph:
         for v in reversed(order[1:]):
             sub[parent[v]] |= sub[v]
         child_masks = tuple(sub[c] for _, c in tree_edges)
-        return SpanningTree(self, tree_edges, child_masks)
+        return SpanningTree(self.n, tree_edges, child_masks)
 
     # -- contraction ------------------------------------------------------
 
@@ -444,10 +444,12 @@ class SpanningTree:
     """Canonical spanning tree with parent -> child orientation.
 
     ``child_masks[i]`` is the subtree under the child of ``edges[i]``; the
-    parent side (the side containing vertex 0) is its complement.
+    parent side (the side containing vertex 0) is its complement.  It keeps
+    the vertex count ``n`` rather than the graph, which caches the tree, so
+    that a graph and its tree form no reference cycle.
     """
 
-    graph: DualGraph
+    n: int
     edges: tuple[tuple[int, int], ...]
     child_masks: tuple[int, ...]
 
@@ -460,12 +462,12 @@ class SpanningTree:
 
     def cut_pairs(self) -> tuple[tuple[int, int], ...]:
         """(parent_side, child_side) per tree edge."""
-        full = self.graph.full_mask
+        full = (1 << self.n) - 1
         return tuple((full ^ m, m) for m in self.child_masks)
 
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {v: [] for v in range(self.graph.n)}
+        kids: dict[int, list[int]] = {v: [] for v in range(self.n)}
         for p, c in self.edges:
             kids[p].append(c)
         return {v: tuple(ws) for v, ws in kids.items()}
@@ -477,7 +479,7 @@ class SpanningTree:
         subtree_total.update(zip((c for _, c in self.edges), per_child))
         return [
             subtree_total[v] - sum(subtree_total[c] for c in self.children[v])
-            for v in range(self.graph.n)
+            for v in range(self.n)
         ]
 
 

@@ -7,9 +7,14 @@ pairs (Y, Y^c) of biconnected subcurves, and one depth-first search,
 ``_pair_search``, finds them: each pair takes its options in order, and
 each constraint (a pair union that must stay inside or obey the
 pair-union rule, or a pair or covering triple a witness must meet) is
-checked once, at the depth where its last pair is set.  The dominance
-order is decided by the first witness subset E.  Orbit enumeration keeps
-the tree-cut-normalized window candidates that are their own normal form.
+judged at the depth where its last pair is set.  There it is a row, the
+bitmask of that depth's options for which it holds, computed once for
+each choice of options on its earlier pairs and kept; a node ANDs its
+rows and tries the surviving options in order, so the output order is
+that of the plain nested loop.  The walk is iterative and yields one live
+assignment, which callers read at once.  The dominance order is decided
+by the first witness subset E.  Orbit enumeration keeps the
+tree-cut-normalized window candidates that are their own normal form.
 """
 
 from __future__ import annotations
@@ -34,59 +39,111 @@ def _pair_search(pairs, options, constraints, holds) -> Iterator[dict[int, objec
     """Depth-first search over complementary pairs (Y, Y^c).
 
     Pair i takes each of its ``options[i]`` (value on Y, value on Y^c) in
-    order.  Each constraint, a tuple of subcurves from the pairs, is filed
-    at the depth where its last pair is set, and ``holds(constraints,
-    values)`` is asked once per node with the constraints filed there; a
-    node where it fails is pruned.  Yields every complete assignment as a
-    dict from subcurve to value.
+    order.  Each constraint, a tuple of subcurves from at most three pairs,
+    is filed at the depth where its last pair is set; ``holds(constraint,
+    values)`` judges it on the values set so far.  At that depth the
+    constraint is a row: the bitmask of the depth's options for which it
+    holds.  A row depends only on the options chosen at the constraint's
+    earlier pairs, so it is computed the first time those choices are met
+    and kept, one table per depth and set of earlier pairs (the AND of the
+    rows of the constraints filed there).  A node ANDs its rows and tries
+    the surviving options from low bit to high, which is option order, so
+    the output order is that of a plain nested loop with every constraint
+    checked.
+
+    The walk is iterative.  It yields one live dict from subcurve to value
+    for every complete assignment; the dict changes as the walk goes on,
+    so a caller reads each assignment before asking for the next.  With no
+    pairs it yields the empty assignment once.
     """
+    values: dict[int, object] = {}
+    n = len(pairs)
+    if not n:
+        yield values
+        return
     depth_of = {}
     for i, (Y, Yc) in enumerate(pairs):
         depth_of[Y] = depth_of[Yc] = i
-    filed: list[list[tuple[int, ...]]] = [[] for _ in pairs]
+    # rows[d]: per set of earlier pairs (e1, e2) of the constraints filed at
+    # depth d, the memo table of rows indexed by the options chosen there;
+    # an absent earlier pair is the extra slot chosen[n], which stays 0
+    width = [len(opts) for opts in options] + [1]
+    rows: list[list] = [[] for _ in pairs]
+    groups = {}
     for c in constraints:
-        filed[max(depth_of[Y] for Y in c)].append(c)
-    values: dict[int, object] = {}
-
-    def walk(depth):
-        if depth == len(pairs):
-            yield dict(values)
-            return
+        *earlier, last = sorted({depth_of[Y] for Y in c})
+        if len(earlier) > 2:
+            raise ValueError(f"constraint {c} spans more than three pairs")
+        key = (n, n, *earlier, last)[-3:]
+        group = groups.get(key)
+        if group is None:
+            e1, e2, _ = key
+            group = groups[key] = ([None] * (width[e1] * width[e2]), e1, width[e2], e2, [])
+            rows[last].append(group)
+        group[4].append(c)
+    chosen = [0] * (n + 1)
+    live = [-1] * n     # per depth: options still to try, -1 before the rows
+    depth = 0
+    while depth >= 0:
+        bits = live[depth]
         Y, Yc = pairs[depth]
-        for a, b in options[depth]:
-            values[Y], values[Yc] = a, b
-            if holds(filed[depth], values):
-                yield from walk(depth + 1)
+        opts = options[depth]
+        if bits < 0:
+            bits = (1 << len(opts)) - 1
+            for table, e1, stride, e2, cs in rows[depth]:
+                at = chosen[e1] * stride + chosen[e2]
+                row = table[at]
+                if row is None:
+                    row = 0
+                    for k, (values[Y], values[Yc]) in enumerate(opts):
+                        for c in cs:
+                            if not holds(c, values):
+                                break
+                        else:
+                            row |= 1 << k
+                    table[at] = row
+                bits &= row
+                if not bits:
+                    break
+        if not bits:
+            depth -= 1
+            continue
+        low = bits & -bits
+        live[depth] = bits ^ low
+        k = low.bit_length() - 1
+        chosen[depth] = k
+        values[Y], values[Yc] = opts[k]
+        if depth == n - 1:
+            yield values
+        else:
+            depth += 1
+            live[depth] = -1
 
-    yield from walk(0)
 
-
-def _pair_union_rule(full, chi, admissible, values) -> bool:
-    """The pair-union rule of ``validate_via_union`` on each admissible
+def _pair_union_rule(full, chi, constraint, values) -> bool:
+    """The pair-union rule of ``validate_via_union`` on an admissible
     (A, B, A + B), with degeneracy read off the pair sums: the union defect
     is 0 if A or B is degenerate, -1 if only the union is, and 0 or -1 if
     none is."""
-    for A, B, U in admissible:
-        delta = values[U] - values[A] - values[B]
-        if delta == 0:
-            if (values[U] + values[full ^ U] == chi
+    A, B, U = constraint
+    delta = values[U] - values[A] - values[B]
+    if delta == 0:
+        return not (values[U] + values[full ^ U] == chi
                     and values[A] + values[full ^ A] != chi
-                    and values[B] + values[full ^ B] != chi):
-                return False
-        elif (delta != -1
-                or values[A] + values[full ^ A] == chi
-                or values[B] + values[full ^ B] == chi):
-            return False
-    return True
+                    and values[B] + values[full ^ B] != chi)
+    return (delta == -1
+            and values[A] + values[full ^ A] != chi
+            and values[B] + values[full ^ B] != chi)
 
 
 # -- degeneracy subsets ---------------------------------------------------------
 
 
-def _union_closed(admissible, inside) -> bool:
-    """Every admissible pair (A, B, A + B) with A and B inside has its union
+def _union_closed(constraint, inside) -> bool:
+    """An admissible pair (A, B, A + B) with A and B inside has its union
     inside."""
-    return all(inside[U] or not (inside[A] and inside[B]) for A, B, U in admissible)
+    A, B, U = constraint
+    return inside[U] or not (inside[A] and inside[B])
 
 
 def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
@@ -137,10 +194,10 @@ def _count_decompositions(Y: int, mins: list[int]) -> int:
     return total
 
 
-def _meets_properly(constraints, in_E) -> bool:
-    """Every constraint (a pair or a triple of subcurves) meets E without
-    lying inside it: a pair exactly once, a triple once or twice."""
-    return all(0 < sum(in_E[Z] for Z in c) < len(c) for c in constraints)
+def _meets_properly(constraint, in_E) -> bool:
+    """A constraint (a pair or a triple of subcurves) meets E without lying
+    inside it: a pair exactly once, a triple once or twice."""
+    return 0 < sum(in_E[Z] for Z in constraint) < len(constraint)
 
 
 def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[int]]:
@@ -317,7 +374,7 @@ def dominating_stabilities(s: VStability) -> Iterator[VStability]:
     )
     # the first assignment bumps nothing, which gives s itself
     for values in itertools.islice(found, 1, None):
-        t = VStability(g, s.chi, tuple(values[Y] for Y in g.biconnected_subcurves))
+        t = VStability(g, s.chi, tuple(map(values.__getitem__, g.biconnected_subcurves)))
         if not t.is_valid:
             raise AssertionError("pruned search admitted an invalid stability")
         yield t
@@ -412,7 +469,7 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
 
     bcon = g.biconnected_subcurves
     out = [
-        VStability(g, 0, tuple(values[Y] for Y in bcon))
+        VStability(g, 0, tuple(map(values.__getitem__, bcon)))
         for values in _pair_search(
             pairs, options, g.admissible_pairs, partial(_pair_union_rule, full, 0),
         )
@@ -506,26 +563,8 @@ def _all_maximal_chains_equal(n: int, covers: list[tuple[int, int]]):
         ups[lo].append(hi)
         downs[hi].append(lo)
 
-    def chain_stats(neighbors):
-        memo = {}
-
-        def go(v):
-            if v in memo:
-                return memo[v]
-            if not neighbors[v]:
-                memo[v] = (0, 0)
-            else:
-                vals = [go(w) for w in neighbors[v]]
-                memo[v] = (
-                    1 + min(a for a, _ in vals),
-                    1 + max(b for _, b in vals),
-                )
-            return memo[v]
-
-        return [go(v) for v in range(n)]
-
-    up = chain_stats(ups)
-    down = chain_stats(downs)
+    up = _chain_lengths(ups)
+    down = _chain_lengths(downs)
     totals = set()
     for v in range(n):
         lo = up[v][0] + down[v][0]
@@ -536,6 +575,26 @@ def _all_maximal_chains_equal(n: int, covers: list[tuple[int, int]]):
     if len(totals) != 1:
         return False, None
     return True, totals.pop()
+
+
+def _chain_lengths(neighbors) -> list[tuple[int, int]]:
+    """Per node of a DAG: the (shortest, longest) length of a maximal path
+    from it along ``neighbors``."""
+    memo: dict[int, tuple[int, int]] = {}
+    return [_chain_length(v, neighbors, memo) for v in range(len(neighbors))]
+
+
+def _chain_length(v: int, neighbors, memo) -> tuple[int, int]:
+    if v not in memo:
+        if not neighbors[v]:
+            memo[v] = (0, 0)
+        else:
+            vals = [_chain_length(w, neighbors, memo) for w in neighbors[v]]
+            memo[v] = (
+                1 + min(a for a, _ in vals),
+                1 + max(b for _, b in vals),
+            )
+    return memo[v]
 
 
 def qdeg_scan(g: DualGraph) -> dict:

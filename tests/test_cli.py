@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from vstab import DualGraph, SheafData, VStability
+from vstab import DualGraph, SheafData, VStability, cli
 from vstab.cli import main
 from vstab.posets import (
     deg_symmetry_classes,
@@ -139,6 +139,28 @@ class TestEnumCommands:
                      "--format", "dot"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph") and "->" in out
+
+
+    def test_vstab_poset_over_budget_exits_two(self, tmp_path, capsys):
+        # K5's window has 16 321 stabilities: refused after the enumeration,
+        # before the quadratic Hasse diagram
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(k5())))
+        start = time.process_time()
+        assert main(["poset", "--graph", str(graph), "--kind", "vstab"]) == 2
+        assert time.process_time() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16321" in captured.err and str(cli.MAX_POSET_ELEMENTS) in captured.err
+
+    @pytest.mark.parametrize("budget, code", [(3, 0), (2, 2)])
+    def test_vstab_poset_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                             budget, code):
+        # the banana window has three stabilities
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_POSET_ELEMENTS", budget)
+        assert main(["poset", "--graph", graph, "--kind", "vstab"]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
 
 
 class TestVerdictCommands:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from vstab.graphenum import connected_multigraphs
 from vstab.graphs import mask_of, vertices_of
 from vstab.posets import (
     _count_decompositions,
+    _pair_search,
     check_deg_witness,
     deg_leq,
     deg_symmetry_classes,
@@ -205,6 +208,68 @@ class TestPairSearch:
         for out, count, digest in zip(outputs, counts, digests):
             assert len(out) == count
             assert _sha([s.values for s in out]) == digest
+
+
+@st.composite
+def pair_search_inputs(draw):
+    """Up to six pairs (2i, 2i + 1) with 0-4 options each, and distinct
+    constraints over 1-3 of the pairs, each judged by a drawn lookup table
+    of the values of its subcurves."""
+    n = draw(st.integers(0, 6))
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    options = [
+        draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4))
+        for _ in pairs
+    ]
+    seen = {}
+    for (Y, Yc), opts in zip(pairs, options):
+        seen[Y] = sorted({a for a, _ in opts})
+        seen[Yc] = sorted({b for _, b in opts})
+    one_constraint = st.lists(
+        st.integers(0, n - 1), min_size=1, max_size=3, unique=True,
+    ).flatmap(lambda picked: st.tuples(*(
+        st.sampled_from([(Y,), (Yc,), (Y, Yc)]) for Y, Yc in (pairs[i] for i in picked)
+    ))).map(lambda sides: sum(sides, ()))
+    constraints = draw(st.lists(one_constraint, max_size=5, unique=True)) if n else []
+    table = {}
+    for c in constraints:
+        keys = list(itertools.product(*(seen[Z] for Z in c)))
+        verdicts = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        table[c] = dict(zip(keys, verdicts))
+    return pairs, options, constraints, table
+
+
+class TestCompiledPairSearch:
+    @given(pair_search_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_filter(self, inputs):
+        pairs, options, constraints, table = inputs
+
+        def holds(c, values):
+            return table[c][tuple(values[Z] for Z in c)]
+
+        expected = []
+        for choice in itertools.product(*options):
+            values = {}
+            for (Y, Yc), (a, b) in zip(pairs, choice):
+                values[Y], values[Yc] = a, b
+            if all(holds(c, values) for c in constraints):
+                expected.append(values)
+        got = [dict(values) for values in _pair_search(pairs, options, constraints, holds)]
+        assert got == expected
+
+    def test_no_pairs_yields_one_empty_assignment(self):
+        assert [dict(v) for v in _pair_search([], [], [], None)] == [{}]
+
+    def test_constraint_over_four_pairs_raises(self):
+        pairs = [(2 * i, 2 * i + 1) for i in range(4)]
+        with pytest.raises(ValueError, match="three pairs"):
+            next(_pair_search(pairs, [((0, 0),)] * 4, [(0, 2, 4, 6)], None))
+
+    def test_yields_one_live_assignment(self):
+        pairs = [(0, 1), (2, 3)]
+        found = list(_pair_search(pairs, [((0, 1), (1, 0))] * 2, [], None))
+        assert len(found) == 4 and all(v is found[0] for v in found)
 
 
 class TestMinimalElements:
@@ -535,6 +600,23 @@ class TestScan:
         assert report["rank"] == 1
         assert report["degeneracy_map_surjective"] is True
         assert report["n_orbits"] == 2
+
+    def test_scanned_graphs_leave_no_garbage(self):
+        # a graph, its tables and its spanning tree hold no reference
+        # cycle, so with the cyclic collector off they are freed as soon as
+        # the last name goes
+        gc.collect()
+        gc.disable()
+        try:
+            graphs = connected_multigraphs(5, 6)
+            for g in graphs:
+                qdeg_scan(g)
+            last = weakref.ref(graphs[-1])
+            del g, graphs
+            assert last() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_triangle_report(self):
         report = qdeg_scan(triangle())
