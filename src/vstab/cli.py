@@ -29,12 +29,22 @@ EXIT_INPUT = 2
 # n = 7 with 8 edges (4.76 M) or 9 edges (15.6 M).
 MAX_SCAN_WALK = 2_000_000
 
-# The most window stabilities `poset --kind vstab` puts through the
-# all-pairs Hasse diagram, checked after the enumeration.  The diagram asks
-# vstab_leq once per ordered pair: C5 (1697 elements) takes about 8 s of
-# CPU time and K4 plus a 2-path (2619) about 20 s, both admitted; K5
-# (16 321) or C6 (24 483) would take 2.7e8 or 6.0e8 calls.
+# The most elements `poset` puts through the all-pairs Hasse diagram,
+# checked after the enumeration: window stabilities for --kind vstab,
+# degeneracy subsets for --kind deg.  The vstab diagram asks vstab_leq once
+# per ordered pair: C5 (1697 elements) takes about 8 s of CPU time and K4
+# plus a 2-path (2619) about 20 s, both admitted; K5 (16 321) or C6
+# (24 483) would take 2.7e8 or 6.0e8 calls.  The deg diagram admits C6
+# (203 subsets, 0.18 s) and K5 (137), and refuses K6 (3708).
 MAX_POSET_ELEMENTS = 3000
+
+# The largest |d_v| `limit` accepts in --multidegree, checked before the
+# walk.  The walk grows about linearly with the entries: on C6, the worst
+# of five start patterns over five orbits took 1.2 s of CPU time (1501
+# steps) at +-1000 and 8.9 s (7501 steps, 206 MB peak RSS) at +-5000; K4
+# with a 2-path took 7.5 s (406 MB) at +-5000.  Python 3.11.7, one core of
+# a 2-vCPU box.
+MAX_LIMIT_DEGREE = 5000
 
 
 def _load_json(path: str):
@@ -145,6 +155,11 @@ def cmd_poset(args) -> int:
     g = _graph(args)
     if args.kind == "deg":
         degs = posets.enumerate_degeneracy_subsets(g)
+        if len(degs) > MAX_POSET_ELEMENTS:
+            raise ValueError(
+                f"--kind deg: the graph has {len(degs)} degeneracy subsets, more "
+                f"than {MAX_POSET_ELEMENTS} for one Hasse diagram"
+            )
         if args.mod_symmetry:
             reps, assignment = posets.deg_symmetry_classes(g, degs)
             # class order: some member of one class dominates the representative
@@ -237,6 +252,11 @@ def cmd_limit(args) -> int:
     )
     if len(d0) != g.n:
         raise SchemaError("multidegree length must match the component count")
+    if any(abs(x) > MAX_LIMIT_DEGREE for x in d0):
+        raise ValueError(
+            f"--multidegree: an entry exceeds {MAX_LIMIT_DEGREE} in absolute value, "
+            f"the bound for one limit walk"
+        )
     result, trace = limits.esteves_limit(d0, s)
     _emit(serialize.trace_to_json(trace))
     return EXIT_OK

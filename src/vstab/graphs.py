@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import DomainMismatch, EmptySubcurve, OverlappingSubcurves
 
@@ -55,6 +56,40 @@ def subset_sums(weights) -> list[int]:
         low = mask & (-mask)
         sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
     return sums
+
+
+def solve_equalities(rows, n):
+    """Fraction-free Gauss-Jordan elimination of integer rows
+    ``(coeffs, rhs)``, each row kept primitive.  The pivot of a column is the
+    first remaining row with a nonzero entry there.  Returns (pivots, free):
+    ``pivots[p] = (D, a, r)`` with D != 0 means D*x_p + sum_i a[i]*x_free[i]
+    = r; None when the system is inconsistent."""
+    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        prow = mat[r]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                combined = [pv * x - f * y for x, y in zip(row, prow)]
+                h = gcd(*combined)
+                mat[i] = [x // h for x in combined] if h > 1 else combined
+        pivot_cols.append(col)
+        r += 1
+    if any(row[n] for row in mat[r:]):
+        return None
+    free = [c for c in range(n) if c not in pivot_cols]
+    pivots = {
+        col: (row[col], tuple(row[f] for f in free), row[n])
+        for row, col in zip(mat, pivot_cols)
+    }
+    return pivots, free
 
 
 def adjacency_masks(n: int, edges) -> tuple[int, ...]:

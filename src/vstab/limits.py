@@ -4,7 +4,8 @@ Twisting the family by a subcurve of the special fiber changes the
 multidegree by chip-firing: the twisted subcurve gains one for every edge
 to its complement, the outside loses correspondingly, and the total
 degree is conserved.  The orbit of this action is the image of the graph
-Laplacian lattice; membership is decided by exact Hermite reduction.
+Laplacian lattice; membership is decided by exact fraction-free
+elimination.
 
 The limit algorithm repeatedly twists by the stabilized union of maximal
 minimizers of the beta function (chi of the restriction minus the
@@ -14,11 +15,11 @@ subcurve.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainMismatch, NonTermination
-from .graphs import DualGraph, vertices_of
+from .graphs import DualGraph, solve_equalities, vertices_of
 from .stability import VStability, extended_value_table
 
 Multidegree = tuple[int, ...]
@@ -80,16 +81,22 @@ def twisting_subcurve(d, s: VStability, start: int = None) -> int:
         start = _max_minimizer([Z for Z, b in enumerate(betas0) if b == m0])
     elif betas0[start] != m0:
         raise ValueError("the starting subcurve must realize the beta minimum")
-    Y = start
+    return _grow(g, ext, d, m0, start)[0]
+
+
+def _grow(g: DualGraph, ext, d, m0: int, Y: int):
+    """The growth iteration of ``twisting_subcurve`` from the minimizer Y of
+    d's betas (minimum m0); returns the union with d twisted by it and the
+    betas there."""
     while True:
         dk = twist(g, d, Y)
         betas = _beta_all(g, dk, ext)
         mk = min(betas)
         if mk > m0:
-            return Y
+            return Y, dk, betas
         growers = [Z for Z, b in enumerate(betas) if b == mk and Z & ~Y]
         if not growers:
-            return Y
+            return Y, dk, betas
         Y |= _max_minimizer(growers)
 
 
@@ -102,7 +109,7 @@ def _max_minimizer(minimizers: list[int]) -> int:
     return min(maximal)
 
 
-def _minimizer_starts(g: DualGraph, betas: list[int]) -> list[int]:
+def _minimizer_starts(betas: list[int]) -> list[int]:
     """Starting candidates for the growth iteration: the default maximal
     choice first, then every other minimizer, small ones early."""
     m = min(betas)
@@ -141,10 +148,10 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     The primary walk twists by stabilized minimizer unions.  Minimizers
     need not be closed under union, so a stabilized union can degenerate
     to the whole curve (a trivial twist); the walk therefore backtracks
-    over the per-step choice of starting minimizer.  Steps on this walk
-    satisfy the full post-twist inequality (beta after twisting dominates
-    the previous minimum, strictly off the twisted subcurve), which is
-    asserted.
+    over the per-step choice of starting minimizer, depth first, never
+    entering a multidegree twice.  Steps on this walk satisfy the full
+    post-twist inequality (beta after twisting dominates the previous
+    minimum, strictly off the twisted subcurve), which is asserted.
 
     Sometimes every such walk dead-ends: no proper subcurve twist
     satisfies the strict inequality at some reachable multidegree.  This
@@ -152,13 +159,24 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     ``limits`` workload (C5, C6, K4 with a 2-path, K5), and on C5, over
     every orbit and the degree box of acceptance criterion 09, in 15% of
     the runs for general stabilities and 12% for degenerate ones.  The
-    search then completes with a breadth-first walk over monotone twists
+    search then completes with a best-first walk over monotone twists
     (minimum beta never decreases), whose steps are flagged as
-    non-lemma steps in the trace.  Expansion caps guard termination;
-    exceeding them raises NonTermination and has never been observed.
+    non-lemma steps in the trace.
+
+    Both searches terminate.  Every multidegree either reaches has minimum
+    beta at least the starting minimum m0: the asserted post-twist
+    inequality gives this on the primary walk, and the completion admits
+    no twist that lowers the minimum.  Beta on a single component v is
+    d_v plus a constant of v, so d_v is bounded below, and the total
+    degree is fixed, so d_v is bounded above too.  Each search therefore
+    ranges over a finite set of multidegrees, and neither enters one
+    twice.  The completion raises NonTermination only when it exhausts
+    that set without a semistable point, which has never been observed.
     """
     g = s.graph
     d0 = tuple(int(x) for x in d0)
+    if len(d0) != g.n:
+        raise DomainMismatch("one degree per component required")
     if line_bundle_chi(g, d0, g.full_mask) != s.chi:
         raise DomainMismatch(
             "total degree inconsistent with the stability characteristic"
@@ -166,55 +184,53 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     ext = extended_value_table(s)
     bcon = g.biconnected_subcurves
     full = g.full_mask
-    betas0 = _beta_all(g, d0, ext)
-    cap = (max(1, -min(betas0)) + 2) * (full + 2) * 8
+    total = sum(d0)
 
     def semistable(betas):
         return all(betas[Z] >= 0 for Z in bcon)
 
-    visited: set[Multidegree] = set()
-    steps: list[LimitStep] = []
+    def candidates(d, betas):
+        """Proper twists from d, one per distinct stabilized union, in the
+        order of the starting minimizers."""
+        m = min(betas)
+        tried = set()
+        for start in _minimizer_starts(betas):
+            Y, d2, nb = _grow(g, ext, d, m, start)
+            if Y != full and Y not in tried:
+                tried.add(Y)
+                yield Y, m, d2, nb
 
-    def dfs(d, betas):
-        if semistable(betas):
-            return d
-        if d in visited:
-            return None
-        visited.add(d)
-        if len(visited) > cap:
-            raise NonTermination("twist search exceeded its expansion bound")
-        old_min = min(betas)
-        tried = []
-        for start in _minimizer_starts(g, betas):
-            Y = twisting_subcurve(d, s, start=start)
-            if Y == full or Y in tried:
-                continue
-            tried.append(Y)
-            d2 = twist(g, d, Y)
-            nb = _beta_all(g, d2, ext)
-            if not _post_twist_holds(nb, old_min, Y):
-                raise AssertionError("post-twist beta inequality violated")
-            if sum(d2) != sum(d0):
-                raise AssertionError("twist changed the total degree")
-            steps.append(LimitStep(Y, old_min, d2))
-            found = dfs(d2, nb)
-            if found is not None:
-                return found
-            steps.pop()
-        return None
-
-    result = dfs(d0, betas0)
-    if result is not None:
-        return result, LimitTrace(d0, tuple(steps), result)
-    return _monotone_completion(g, s, ext, d0, betas0, cap)
+    betas0 = _beta_all(g, d0, ext)
+    if semistable(betas0):
+        return d0, LimitTrace(d0, (), d0)
+    visited = {d0}
+    # the walk from d0: per node, the step into it and its candidates
+    path = [(None, candidates(d0, betas0))]
+    while path:
+        twisted = next(path[-1][1], None)
+        if twisted is None:
+            path.pop()
+            continue
+        Y, old_min, d2, nb = twisted
+        if not _post_twist_holds(nb, old_min, Y):
+            raise AssertionError("post-twist beta inequality violated")
+        if sum(d2) != total:
+            raise AssertionError("twist changed the total degree")
+        step = LimitStep(Y, old_min, d2)
+        if semistable(nb):
+            steps = tuple(st for st, _ in path[1:]) + (step,)
+            return d2, LimitTrace(d0, steps, d2)
+        if d2 not in visited:
+            visited.add(d2)
+            path.append((step, candidates(d2, nb)))
+    return _monotone_completion(g, ext, d0, betas0)
 
 
-def _monotone_completion(g, s, ext, d0, betas0, cap):
+def _monotone_completion(g, ext, d0, betas0):
     """Best-first walk of monotone twists (minimum beta non-decreasing) to
     a semistable multidegree; used when the stabilized-union walk
-    dead-ends."""
-    import heapq
-
+    dead-ends.  A twist is admitted only if the minimum beta does not
+    fall, and no multidegree is queued twice."""
     bcon = g.biconnected_subcurves
     full = g.full_mask
     shifts = g.subset_sum_shifts
@@ -242,8 +258,6 @@ def _monotone_completion(g, s, ext, d0, betas0, cap):
             if min(nb) < m:
                 continue
             parent[d2] = (d, Y, m)
-            if len(parent) > cap:
-                raise NonTermination("monotone completion exceeded its bound")
             counter += 1
             heapq.heappush(heap, (badness(nb), counter, d2, nb))
     if goal is None:
@@ -285,74 +299,6 @@ def laplacian(g: DualGraph) -> list[list[int]]:
     return L
 
 
-def solve_integer(A: list[list[int]], b: list[int]) -> Optional[list[int]]:
-    """One integer solution of A x = b, or None.
-
-    Column-style Hermite reduction: combine columns with unimodular
-    operations until each row meets at most one new pivot column, then
-    substitute forward with divisibility checks.  Columns beyond the
-    pivots are reduced to zero, so free components may be taken zero.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    H = [row[:] for row in A]
-    C = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_cols(i, j):
-        for row in H:
-            row[i], row[j] = row[j], row[i]
-        for row in C:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(src, dst, f):
-        for row in H:
-            row[dst] += f * row[src]
-        for row in C:
-            row[dst] += f * row[src]
-
-    col = 0
-    pivot_of_row = {}
-    for r in range(m):
-        if col >= n:
-            break
-        while True:
-            nz = [j for j in range(col, n) if H[r][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(H[r][j]), j))
-            if j0 != col:
-                swap_cols(col, j0)
-            done = True
-            for j in range(col + 1, n):
-                if H[r][j]:
-                    q = H[r][j] // H[r][col]
-                    if q:
-                        add_col(col, j, -q)
-                    if H[r][j]:
-                        done = False
-            if done:
-                break
-        if col < n and H[r][col] != 0:
-            pivot_of_row[r] = col
-            col += 1
-
-    w = [0] * n
-    for r in range(m):
-        residual = b[r] - sum(H[r][j] * w[j] for j in range(n) if H[r][j])
-        p = pivot_of_row.get(r)
-        if p is not None and w[p] == 0 and H[r][p] != 0:
-            if residual % H[r][p] != 0:
-                return None
-            w[p] = residual // H[r][p]
-        elif residual != 0:
-            return None
-    # re-check rows whose pivot was assigned later than first use
-    for r in range(m):
-        if sum(H[r][j] * w[j] for j in range(n)) != b[r]:
-            return None
-    return [sum(C[i][j] * w[j] for j in range(n)) for i in range(n)]
-
-
 def same_orbit(g: DualGraph, d1, d2):
     """Whether two multidegrees differ by chip-firing twists.
 
@@ -368,9 +314,16 @@ def same_orbit(g: DualGraph, d1, d2):
     if sum(d1) != sum(d2):
         return False, None
     diff = [a - b for a, b in zip(d1, d2)]
-    x = solve_integer(laplacian(g), diff)
-    if x is None:
-        return False, None
+    # diff sums to zero, so L x = diff is solvable over the rationals; the
+    # kernel of a connected Laplacian is the constants, so setting the free
+    # variable to zero leaves one rational solution, and some integer
+    # solution exists iff every pivot value r / D is an integer
+    pivots, _ = solve_equalities(list(zip(laplacian(g), diff)), g.n)
+    x = [0] * g.n
+    for p, (D, _, r) in pivots.items():
+        if r % D:
+            return False, None
+        x[p] = r // D
     shift = min(x)
     witness = tuple(v - shift for v in x)
     applied = d2

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InvalidPolarization, InvalidStability
-from .graphs import DualGraph, subset_sums, vertices_of
+from .graphs import DualGraph, solve_equalities, subset_sums, vertices_of
 from .stability import VStability
 
 
@@ -143,7 +143,7 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
         else:
             bounds.append((Y, value[Y]))
 
-    solved = _solve_equalities(equalities, n)
+    solved = solve_equalities(equalities, n)
     if solved is None:
         return None
     pivots, free = solved
@@ -182,40 +182,6 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
     if witness.induced_vstability() != s:
         raise AssertionError("feasible system produced a non-witness; elimination bug")
     return witness
-
-
-def _solve_equalities(rows, n):
-    """Fraction-free Gauss-Jordan elimination of integer rows
-    ``(coeffs, rhs)``, each row kept primitive.  The pivot of a column is the
-    first remaining row with a nonzero entry there.  Returns (pivots, free):
-    ``pivots[p] = (D, a, r)`` with D != 0 means D*x_p + sum_i a[i]*x_free[i]
-    = r; None when the system is inconsistent."""
-    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        prow = mat[r]
-        pv = prow[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i != r and f:
-                combined = [pv * x - f * y for x, y in zip(row, prow)]
-                h = gcd(*combined)
-                mat[i] = [x // h for x in combined] if h > 1 else combined
-        pivot_cols.append(col)
-        r += 1
-    if any(row[n] for row in mat[r:]):
-        return None
-    free = [c for c in range(n) if c not in pivot_cols]
-    pivots = {
-        col: (row[col], tuple(row[f] for f in free), row[n])
-        for row, col in zip(mat, pivot_cols)
-    }
-    return pivots, free
 
 
 def _fm_witness(inequalities, nvars):

@@ -419,3 +419,73 @@ def oracle_fm_witness(inequalities, nvars):
         elif hi is not None:
             values[var] = hi - 1
     return values
+
+
+def oracle_solve_integer(A, b):
+    """One integer solution of A x = b, or None: the column-style Hermite
+    reduction that decided chip-firing orbits before the shared fraction-free
+    elimination.
+
+    Columns are combined with unimodular operations until each row meets at
+    most one new pivot column, then substituted forward with divisibility
+    checks.  Columns beyond the pivots are reduced to zero, so free
+    components may be taken zero.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    H = [row[:] for row in A]
+    C = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        for row in H:
+            row[i], row[j] = row[j], row[i]
+        for row in C:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(src, dst, f):
+        for row in H:
+            row[dst] += f * row[src]
+        for row in C:
+            row[dst] += f * row[src]
+
+    col = 0
+    pivot_of_row = {}
+    for r in range(m):
+        if col >= n:
+            break
+        while True:
+            nz = [j for j in range(col, n) if H[r][j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(H[r][j]), j))
+            if j0 != col:
+                swap_cols(col, j0)
+            done = True
+            for j in range(col + 1, n):
+                if H[r][j]:
+                    q = H[r][j] // H[r][col]
+                    if q:
+                        add_col(col, j, -q)
+                    if H[r][j]:
+                        done = False
+            if done:
+                break
+        if col < n and H[r][col] != 0:
+            pivot_of_row[r] = col
+            col += 1
+
+    w = [0] * n
+    for r in range(m):
+        residual = b[r] - sum(H[r][j] * w[j] for j in range(n) if H[r][j])
+        p = pivot_of_row.get(r)
+        if p is not None and w[p] == 0 and H[r][p] != 0:
+            if residual % H[r][p] != 0:
+                return None
+            w[p] = residual // H[r][p]
+        elif residual != 0:
+            return None
+    # re-check rows whose pivot was assigned later than first use
+    for r in range(m):
+        if sum(H[r][j] * w[j] for j in range(n)) != b[r]:
+            return None
+    return [sum(C[i][j] * w[j] for j in range(n)) for i in range(n)]

@@ -6,6 +6,7 @@ that are contradicted by pinned counterexamples (see notes/decisions.md
 outside the package); they fail by design and document the defect.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -824,11 +825,18 @@ LIMIT_FAMILY_5 = SHEAF_FAMILY_4 + [
     DualGraph((1, 0, 0), ((0, 1), (0, 2), (1, 2))),
 ]
 
+# sha256 over every run of criterion 9, in its order, of
+# repr((start, result, steps)) + newline, each step as
+# (subcurve, beta_min, multidegree, lemma_step): a rewrite of the limit
+# search that changes any result or any step of any trace fails here
+LIMIT_TRACE_DIGEST = "b6f911030c3440b58056c9050835422bb1da4145c5d5e99fd40a4c3e4b2c02c4"
+
 
 def test_criterion_09_limit_algorithm():
     t0 = time.time()
     runs = 0
     completions = 0
+    digest = hashlib.sha256()
     for g in LIMIT_FAMILY_5:
         win = g.genus + 2
         for s in enumerate_orbits(g):
@@ -839,6 +847,9 @@ def test_criterion_09_limit_algorithm():
                     continue
                 result, trace = esteves_limit(d, s)
                 runs += 1
+                steps = tuple((st.subcurve, st.beta_min, st.multidegree, st.lemma_step)
+                              for st in trace.steps)
+                digest.update(repr((d, result, steps)).encode() + b"\n")
                 final = _beta_all(g, result, ext)
                 assert all(
                     final[Z] >= 0 for Z in g.biconnected_subcurves
@@ -853,6 +864,8 @@ def test_criterion_09_limit_algorithm():
                         assert nb[Z] >= step.beta_min
                         if step.lemma_step and nb[Z] == step.beta_min:
                             assert Z & ~step.subcurve == 0
+    assert runs == 269038
+    assert digest.hexdigest() == LIMIT_TRACE_DIGEST
 
     # the worked two-component trace
     banana = DualGraph((0, 0), ((0, 1), (0, 1)))

@@ -153,6 +153,29 @@ class TestEnumCommands:
         assert captured.out == ""
         assert "16321" in captured.err and str(cli.MAX_POSET_ELEMENTS) in captured.err
 
+    @pytest.mark.parametrize("mod_symmetry", [[], ["--mod-symmetry"]], ids=["plain", "mod"])
+    def test_deg_poset_over_budget_exits_two(self, tmp_path, capsys, mod_symmetry):
+        # K6 has 3708 degeneracy subsets: refused after the enumeration,
+        # before the symmetry classes and the quadratic Hasse diagram
+        k6 = DualGraph((0,) * 6, tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(k6)))
+        start = time.process_time()
+        assert main(["poset", "--graph", str(graph), "--kind", "deg", *mod_symmetry]) == 2
+        assert time.process_time() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3708" in captured.err and str(cli.MAX_POSET_ELEMENTS) in captured.err
+
+    @pytest.mark.parametrize("budget, code", [(2, 0), (1, 2)])
+    def test_deg_poset_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                           budget, code):
+        # the banana has two degeneracy subsets
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_POSET_ELEMENTS", budget)
+        assert main(["poset", "--graph", graph, "--kind", "deg"]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
     @pytest.mark.parametrize("budget, code", [(3, 0), (2, 2)])
     def test_vstab_poset_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
                                              budget, code):
@@ -190,6 +213,32 @@ class TestVerdictCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == [1, -1]
         assert doc["steps"][0] == {"Y": [1], "beta_min": -4, "d": [3, -3]}
+
+    def test_long_limit_walk(self, banana_files, capsys):
+        # 1500 twists, deeper than the interpreter's recursion limit
+        graph, stability = banana_files
+        assert main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", "3000,-3000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == [0, 0] and len(doc["steps"]) == 1500
+
+    @pytest.mark.parametrize("offset, code", [(0, 0), (1, 2)])
+    def test_limit_degree_budget_is_inclusive(self, banana_files, capsys, offset, code):
+        graph, stability = banana_files
+        bound = cli.MAX_LIMIT_DEGREE + offset
+        assert main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", f"{bound},{-bound}"]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_limit_over_degree_budget_exits_two_at_once(self, banana_files, capsys):
+        graph, stability = banana_files
+        start = time.process_time()
+        assert main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", f"{10 ** 9},{-10 ** 9}"]) == 2
+        assert time.process_time() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--multidegree" in captured.err and str(cli.MAX_LIMIT_DEGREE) in captured.err
 
     @pytest.mark.parametrize("multidegree", [
         "5_0,-50", "+5,-5", "5,-\u0665", "5,", "5,-5x", "1" * 5000 + ",0",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from vstab.limits import (
     esteves_limit,
     laplacian,
     same_orbit,
-    solve_integer,
     twist,
     twisting_subcurve,
 )
@@ -19,7 +19,7 @@ from vstab.posets import enumerate_orbits
 from vstab.sheaves import is_semistable
 from vstab.stability import extended_value_table
 
-from conftest import banana, genus_decorated, path3, triangle
+from conftest import LADDER, banana, genus_decorated, oracle_solve_integer, path3, triangle
 
 
 def s_banana_zero():
@@ -117,6 +117,11 @@ class TestLimit:
         with pytest.raises(DomainMismatch):
             esteves_limit((1, 0), s)
 
+    @pytest.mark.parametrize("d0", [(1, -1, 5), (0,)], ids=["long", "short"])
+    def test_wrong_length_rejected(self, d0):
+        with pytest.raises(DomainMismatch, match="one degree per component"):
+            esteves_limit(d0, s_banana_zero())
+
     def test_small_sweep_semistable_and_in_orbit(self):
         for g in [banana(), triangle(), path3()]:
             for s in enumerate_orbits(g):
@@ -191,26 +196,57 @@ class TestOrbit:
         assert applied == d1
 
 
+class TestOrbitAgainstHermite:
+    """``same_orbit`` against the column-style Hermite reduction of
+    ``oracle_solve_integer``: the flag and the normalized witness (unique,
+    since the kernel is the constants) agree on seeded pairs that are in
+    one orbit (a random twist sequence apart) and on random pairs of equal
+    total degree, over the benchmark ladder and the loop graph."""
+
+    @pytest.mark.parametrize("make", LADDER + [genus_decorated],
+                             ids=lambda f: f.__name__)
+    def test_flag_and_witness(self, make):
+        g = make()
+        L = laplacian(g)
+        rng = random.Random(f"orbit:{make.__name__}")
+        hits = 0
+        for k in range(60):
+            d2 = tuple(rng.randint(-5, 5) for _ in range(g.n))
+            if k % 2:
+                d1 = d2
+                for _ in range(rng.randint(1, 6)):
+                    d1 = twist(g, d1, rng.randint(1, g.full_mask - 1))
+            else:
+                d1 = tuple(rng.randint(-5, 5) for _ in range(g.n - 1))
+                d1 += (sum(d2) - sum(d1),)
+            x = oracle_solve_integer(L, [a - b for a, b in zip(d1, d2)])
+            expected = (False, None) if x is None else (
+                True, tuple(v - min(x) for v in x))
+            assert same_orbit(g, d1, d2) == expected
+            hits += expected[0]
+        assert 30 <= hits < 60
+
+
 class TestIntegerSolve:
     def test_laplacian_solve(self):
         g = triangle()
         L = laplacian(g)
         b = [sum(L[i][j] * [2, -1, 0][j] for j in range(3)) for i in range(3)]
-        x = solve_integer(L, b)
+        x = oracle_solve_integer(L, b)
         assert x is not None
         for i in range(3):
             assert sum(L[i][j] * x[j] for j in range(3)) == b[i]
 
     def test_unsolvable(self):
-        assert solve_integer([[2]], [1]) is None
+        assert oracle_solve_integer([[2]], [1]) is None
 
     def test_free_column(self):
         # 2x + 3y = 1 is solvable over the integers
-        x = solve_integer([[2, 3]], [1])
+        x = oracle_solve_integer([[2, 3]], [1])
         assert x is not None and 2 * x[0] + 3 * x[1] == 1
 
     def test_inconsistent_rows(self):
-        assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+        assert oracle_solve_integer([[1, 1], [1, 1]], [0, 1]) is None
 
 
 class TestSemistableCounts:
