@@ -24,6 +24,7 @@ from .limits import (
     LimitStep,
     LimitTrace,
     beta,
+    beta_deficit,
     esteves_limit,
     laplacian,
     line_bundle_chi,

@@ -38,13 +38,24 @@ MAX_SCAN_WALK = 2_000_000
 # (203 subsets, 0.18 s) and K5 (137), and refuses K6 (3708).
 MAX_POSET_ELEMENTS = 3000
 
-# The largest |d_v| `limit` accepts in --multidegree, checked before the
-# walk.  The walk grows about linearly with the entries: on C6, the worst
-# of five start patterns over five orbits took 1.2 s of CPU time (1501
-# steps) at +-1000 and 8.9 s (7501 steps, 206 MB peak RSS) at +-5000; K4
-# with a 2-path took 7.5 s (406 MB) at +-5000.  Python 3.11.7, one core of
-# a 2-vCPU box.
+# `limit`'s budgets, checked before the walk.  An entry of --multidegree
+# may not exceed MAX_LIMIT_DEGREE in absolute value.  The walk itself is
+# sized by the start's beta deficit D (limits.beta_deficit), not by the
+# entries: a translated stability shifts betas like degrees, so (0, 0) on a
+# banana with values (10**9, -10**9) has deficit 10**9 - 1.  D may not
+# exceed MAX_LIMIT_DEGREE, nor D * 4**n exceed MAX_LIMIT_WORK: the walk
+# takes of order D twists, and each expansion of the best-first completion
+# tries 2**n twists over 2**n betas.  So D <= 5000 for n <= 5, 1250 for
+# n = 6, 312 for n = 7 and 78 for n = 8.  At the bound, the slowest of
+# three start patterns on sampled orbit stabilities (every 7th on C5, up
+# to every 300th on C7) took (CPU time, process peak RSS; Python 3.11.7,
+# one core of a 2-vCPU box): C5
+# 2.8 s and 70 MB, K5 0.1 s, C6 2.6 s and 68 MB, K4 with a 2-path 2.4 s
+# and 123 MB, C7 2.2 s and 55 MB; C8 1.1 s and 28 MB on one general
+# stability.  Larger n was not measured; the bound keeps shrinking
+# fourfold per component.
 MAX_LIMIT_DEGREE = 5000
+MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
 
 
 def _load_json(path: str):
@@ -256,6 +267,13 @@ def cmd_limit(args) -> int:
         raise ValueError(
             f"--multidegree: an entry exceeds {MAX_LIMIT_DEGREE} in absolute value, "
             f"the bound for one limit walk"
+        )
+    deficit = limits.beta_deficit(d0, s)
+    bound = min(MAX_LIMIT_DEGREE, MAX_LIMIT_WORK // 4 ** g.n)
+    if deficit > bound:
+        raise ValueError(
+            f"--multidegree: its beta deficit against --stability is {deficit}, above "
+            f"{bound}, the bound for one limit walk on {g.n} components"
         )
     result, trace = limits.esteves_limit(d0, s)
     _emit(serialize.trace_to_json(trace))

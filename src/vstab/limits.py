@@ -46,6 +46,14 @@ def beta(d, s: VStability, Z: int) -> int:
     return line_bundle_chi(s.graph, d, Z) - s.extended_value(Z)
 
 
+def beta_deficit(d, s: VStability) -> int:
+    """Minus the least beta over all subcurves (the empty one's is 0): both
+    searches of ``esteves_limit`` from d keep every beta at least minus it."""
+    if len(d) != s.graph.n:
+        raise DomainMismatch("one degree per component required")
+    return -min(_beta_all(s.graph, d, extended_value_table(s)))
+
+
 def _beta_all(g: DualGraph, d, ext) -> list[int]:
     """beta over every mask (index = mask); the empty subcurve gets 0."""
     full = g.full_mask
@@ -164,7 +172,7 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     non-lemma steps in the trace.
 
     Both searches terminate.  Every multidegree either reaches has minimum
-    beta at least the starting minimum m0: the asserted post-twist
+    beta at least m0 = -beta_deficit(d0, s): the asserted post-twist
     inequality gives this on the primary walk, and the completion admits
     no twist that lowers the minimum.  Beta on a single component v is
     d_v plus a constant of v, so d_v is bounded below, and the total
@@ -290,12 +298,9 @@ def laplacian(g: DualGraph) -> list[list[int]]:
     """Graph Laplacian (valence minus adjacency); loops do not contribute."""
     n = g.n
     mult = g.multiplicity
-    L = [[0] * n for _ in range(n)]
+    L = [[-mult[v][w] if w != v else 0 for w in range(n)] for v in range(n)]
     for v in range(n):
-        for w in range(n):
-            if v != w:
-                L[v][w] = -mult[v][w]
-        L[v][v] = sum(mult[v][w] for w in range(n) if w != v)
+        L[v][v] = -sum(L[v])
     return L
 
 

@@ -240,6 +240,42 @@ class TestVerdictCommands:
         assert captured.out == ""
         assert "--multidegree" in captured.err and str(cli.MAX_LIMIT_DEGREE) in captured.err
 
+    def test_limit_over_deficit_budget_exits_two_at_once(self, banana_files, capsys):
+        # small entries against a translated stability: the walk from (0, 0)
+        # is the walk from (-10**9, 10**9) against the untranslated one
+        graph, stability = banana_files
+        start = time.process_time()
+        assert main(["limit", "--graph", graph,
+                     "--stability", stability({1: 10 ** 9, 2: -10 ** 9}),
+                     "--multidegree", "0,0"]) == 2
+        assert time.process_time() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta deficit" in captured.err and str(10 ** 9 - 1) in captured.err
+        assert str(cli.MAX_LIMIT_DEGREE) in captured.err
+
+    @pytest.mark.parametrize("value, code", [(1, 0), (2, 2)])
+    def test_limit_deficit_budget_is_inclusive(self, banana_files, capsys, value, code):
+        # entries at the bound, deficit 4999 + value against a translate
+        graph, stability = banana_files
+        bound = cli.MAX_LIMIT_DEGREE
+        assert main(["limit", "--graph", graph,
+                     "--stability", stability({1: -value, 2: value}),
+                     "--multidegree", f"{bound},{-bound}"]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    @pytest.mark.parametrize("entry, code", [(5, 0), (6, 2)])
+    def test_limit_deficit_budget_shrinks_with_components(self, banana_files, capsys,
+                                                          monkeypatch, entry, code):
+        # a work budget of 4 * 4**2 leaves the banana (n = 2) a deficit of 4
+        graph, stability = banana_files
+        monkeypatch.setattr(cli, "MAX_LIMIT_WORK", 4 * 4 ** 2)
+        assert main(["limit", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--multidegree", f"{entry},{-entry}"]) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert code == 0 or "above 4," in captured.err
+
     @pytest.mark.parametrize("multidegree", [
         "5_0,-50", "+5,-5", "5,-\u0665", "5,", "5,-5x", "1" * 5000 + ",0",
     ], ids=["underscore", "plus", "non-ascii-digit", "empty", "suffix", "5000-digits"])

@@ -9,6 +9,7 @@ from vstab.errors import DomainMismatch
 from vstab.limits import (
     _beta_all,
     beta,
+    beta_deficit,
     esteves_limit,
     laplacian,
     same_orbit,
@@ -19,7 +20,9 @@ from vstab.posets import enumerate_orbits
 from vstab.sheaves import is_semistable
 from vstab.stability import extended_value_table
 
-from conftest import LADDER, banana, genus_decorated, oracle_solve_integer, path3, triangle
+from conftest import (
+    LADDER, banana, cycle5, genus_decorated, oracle_solve_integer, path3, triangle,
+)
 
 
 def s_banana_zero():
@@ -72,6 +75,35 @@ class TestBeta:
                 continue
             by_beta = all(beta(d, s, Z) >= 0 for Z in g.biconnected_subcurves)
             assert by_beta == is_semistable(SheafData.line_bundle(g, d), s)
+
+    def test_deficit(self):
+        s = s_banana_zero()
+        assert beta_deficit((5, -5), s) == 4
+        assert beta_deficit((1, -1), s) == 0
+        with pytest.raises(DomainMismatch):
+            beta_deficit((0,), s)
+
+    def test_deficit_follows_translation(self):
+        # translating the stability by (k, -k) moves betas as the degrees
+        # (-k, k) do, so small entries can start a long walk
+        k = 10 ** 9
+        t = VStability.from_dict(banana(), 0, {1: k, 2: -k})
+        assert t.is_valid
+        assert beta_deficit((0, 0), t) == beta_deficit((-k, k), s_banana_zero()) == k - 1
+
+    def test_no_limit_step_exceeds_the_start_deficit(self):
+        # the termination argument of esteves_limit, on both searches
+        fallbacks = 0
+        for s in enumerate_orbits(cycle5())[::25]:
+            g = s.graph
+            total = s.chi - g.line_chi_base[g.full_mask]
+            for head in itertools.product(range(-2, 3), repeat=g.n - 1):
+                d0 = head + (total - sum(head),)
+                _, trace = esteves_limit(d0, s)
+                fallbacks += trace.used_fallback
+                start = beta_deficit(d0, s)
+                assert all(beta_deficit(st.multidegree, s) <= start for st in trace.steps)
+        assert fallbacks
 
 
 class TestTwistingSubcurve:
