@@ -38,6 +38,13 @@ MAX_SCAN_WALK = 2_000_000
 # (203 subsets, 0.18 s) and K5 (137), and refuses K6 (3708).
 MAX_POSET_ELEMENTS = 3000
 
+# The most components --mod-symmetry admits, checked before any work:
+# DualGraph.automorphisms tries all n! vertex permutations.  At n = 8 that
+# took 0.31 s of CPU time on a path and 0.99 s on K8 (Python 3.11.7, one
+# core of a 2-vCPU box); each further component multiplies it by about n,
+# so a 12-vertex path would run for about an hour.
+MAX_SYMMETRY_VERTICES = 8
+
 # `limit`'s budgets, checked before the walk.  An entry of --multidegree
 # may not exceed MAX_LIMIT_DEGREE in absolute value.  The walk itself is
 # sized by the start's beta deficit D (limits.beta_deficit), not by the
@@ -72,6 +79,14 @@ def _graph(args) -> DualGraph:
 
 def _stability(args, g: DualGraph) -> VStability:
     return serialize.stability_from_json(g, _load_json(args.stability))
+
+
+def _check_symmetry_size(g: DualGraph) -> None:
+    if g.n > MAX_SYMMETRY_VERTICES:
+        raise ValueError(
+            f"--mod-symmetry: the graph has {g.n} components, more than "
+            f"{MAX_SYMMETRY_VERTICES} for the automorphism search"
+        )
 
 
 def _emit(doc):
@@ -133,6 +148,8 @@ def cmd_enum_orbits(args) -> int:
 
 def cmd_enum_deg(args) -> int:
     g = _graph(args)
+    if args.mod_symmetry:
+        _check_symmetry_size(g)
     degs = posets.enumerate_degeneracy_subsets(g)
     if args.mod_symmetry:
         reps, _ = posets.deg_symmetry_classes(g, degs)
@@ -165,6 +182,8 @@ def _deg_label(d) -> str:
 def cmd_poset(args) -> int:
     g = _graph(args)
     if args.kind == "deg":
+        if args.mod_symmetry:
+            _check_symmetry_size(g)
         degs = posets.enumerate_degeneracy_subsets(g)
         if len(degs) > MAX_POSET_ELEMENTS:
             raise ValueError(

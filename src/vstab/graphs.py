@@ -466,6 +466,15 @@ class DualGraph:
                 out.append(perm)
         return tuple(out)
 
+    @cached_property
+    def automorphism_images(self) -> tuple[dict[int, int], ...]:
+        """Per automorphism (in the order of :attr:`automorphisms`), the
+        image of every biconnected subcurve mask."""
+        return tuple(
+            {Y: permute_mask(Y, perm) for Y in self.biconnected_subcurves}
+            for perm in self.automorphisms
+        )
+
 
 def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     out = 0

@@ -14,7 +14,8 @@ rows and tries the surviving options in order, so the output order is
 that of the plain nested loop.  The walk is iterative and yields one live
 assignment, which callers read at once.  The dominance order is decided
 by the first witness subset E.  Orbit enumeration keeps the
-tree-cut-normalized window candidates that are their own normal form.
+tree-cut-normalized window candidates whose tree-cut shift is zero, which
+are exactly those that are their own normal form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     MoveNotApplicable,
     NotAPartialOrder,
 )
-from .graphs import DualGraph, permute_mask, vertices_of
+from .graphs import DualGraph, vertices_of
 from .stability import DegeneracySet, VStability, translate
 
 # -- the pair search -------------------------------------------------------------
@@ -482,10 +483,14 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
 
 def enumerate_orbits(g: DualGraph) -> list[VStability]:
     """Complete, duplicate-free translation-orbit representatives at
-    characteristic 0: window candidates that are their own normal form."""
+    characteristic 0: window candidates that are their own normal form.
+
+    A candidate is its own normal form iff its tree-cut shift tau is zero:
+    a nonzero tau of total zero has a nonzero sum over some child subtree,
+    which is a biconnected subcurve that the translation moves."""
     reps = [
         s for s in enumerate_window_stabilities(g, tree_cut_pattern=True)
-        if normal_form(s)[0] == s
+        if not any(s.tree_cut_shift())
     ]
     reps.sort(key=lambda s: s.values)
     return reps
@@ -528,13 +533,12 @@ def hasse(elements: list, leq: Callable, label: Callable = str) -> HasseDiagram:
 
 
 def deg_symmetry_key(g: DualGraph, members: frozenset[int]) -> tuple[int, ...]:
-    """Canonical form of a degeneracy subset under graph automorphisms."""
-    best = None
-    for perm in g.automorphisms:
-        image = tuple(sorted(permute_mask(Y, perm) for Y in members))
-        if best is None or image < best:
-            best = image
-    return best
+    """Canonical form of a degeneracy subset under graph automorphisms: the
+    least sorted image of its members."""
+    return min(
+        tuple(sorted(map(img.__getitem__, members)))
+        for img in g.automorphism_images
+    )
 
 
 def deg_symmetry_classes(g: DualGraph, degs: list[DegeneracySet]):

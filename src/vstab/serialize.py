@@ -18,6 +18,11 @@ minus sign; vertices must lie in 0..n-1, and multidegree keys are only the
 decimal indices "0".."n-1".  No subcurve or support names a vertex twice,
 no stability names a subcurve twice, and no nonfree list names an edge
 index twice.  Anything else is a SchemaError.
+
+The emitter :func:`dumps` writes the text itself in one walk over the
+document, and its output matches ``json.dumps(doc, sort_keys=True,
+indent=2) + "\n"`` byte for byte; that stdlib call, which falls back to
+the pure-Python encoder whenever an indent is set, is its test oracle.
 """
 
 from __future__ import annotations
@@ -236,6 +241,54 @@ def hasse_to_dot(h: HasseDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc) -> str:
-    """Canonical JSON emission: sorted keys, newline-terminated."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON emission: sorted keys, two-space indent,
+    newline-terminated; the text of ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\n"``.  Object keys must be strings (TypeError
+    otherwise)."""
+    chunks: list[str] = []
+    _write(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(x, newline: str, out) -> None:
+    """Append the text of ``x`` to ``out``, with ``newline`` the line break
+    plus indent of the line that ``x`` starts on."""
+    if isinstance(x, dict):
+        if not x:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"object keys must be strings, got {key!r}")
+            out(sep + _quote(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, x)) == {int}:     # plain ints (no bools): one join
+            out("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif type(x) is int:
+        out(int.__repr__(x))
+    elif isinstance(x, str):
+        out(_quote(x))
+    else:
+        # bools, None, floats and int subclasses: the stdlib's scalar text
+        out(json.dumps(x))

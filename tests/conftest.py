@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from vstab import DualGraph
-from vstab.graphs import vertices_of
+from vstab.graphs import permute_mask, vertices_of
 from vstab.stability import ValidationReport, Violation
 
 
@@ -190,6 +190,17 @@ def oracle_biconnected(g: DualGraph) -> list[int]:
         if oracle_connected(g, sub) and oracle_connected(g, full - sub):
             out.append(mask)
     return out
+
+
+def oracle_deg_symmetry_key(g: DualGraph, members) -> tuple[int, ...]:
+    """Least sorted image of a degeneracy subset's members over the
+    automorphisms, each image computed by ``permute_mask``."""
+    best = None
+    for perm in g.automorphisms:
+        image = tuple(sorted(permute_mask(Y, perm) for Y in members))
+        if best is None or image < best:
+            best = image
+    return best
 
 
 def all_subcurves(g: DualGraph):

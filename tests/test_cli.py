@@ -185,6 +185,39 @@ class TestEnumCommands:
         assert main(["poset", "--graph", graph, "--kind", "vstab"]) == code
         assert bool(capsys.readouterr().out) == (code == 0)
 
+    MOD_SYMMETRY = [["enum-deg", "--mod-symmetry"], ["poset", "--kind", "deg", "--mod-symmetry"]]
+
+    @pytest.mark.parametrize("argv", MOD_SYMMETRY, ids=["enum-deg", "poset"])
+    @pytest.mark.parametrize("bound, code", [(2, 0), (1, 2)])
+    def test_mod_symmetry_bound_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                             argv, bound, code):
+        # the banana has two components
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_SYMMETRY_VERTICES", bound)
+        assert main(argv[:1] + ["--graph", graph] + argv[1:]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_mod_symmetry_admits_a_path_at_the_bound(self, tmp_path, capsys):
+        n = cli.MAX_SYMMETRY_VERTICES
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"genera": [0] * n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+        assert main(["enum-deg", "--graph", str(graph), "--mod-symmetry"]) == 0
+        assert json.loads(capsys.readouterr().out)["mod_symmetry"] is True
+
+    @pytest.mark.parametrize("argv", MOD_SYMMETRY, ids=["enum-deg", "poset"])
+    def test_mod_symmetry_refuses_a_long_path(self, tmp_path, capsys, argv):
+        # the n! automorphism search would take about an hour at n = 12;
+        # the path has few degeneracy subsets, so no other budget stops it
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"genera": [0] * 12, "edges": [[i, i + 1] for i in range(11)]}))
+        start = time.process_time()
+        assert main(argv[:1] + ["--graph", str(graph)] + argv[1:]) == 2
+        assert time.process_time() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "12 components" in captured.err
+        assert str(cli.MAX_SYMMETRY_VERTICES) in captured.err
+
 
 class TestVerdictCommands:
     def test_classical_witness(self, banana_files, capsys):

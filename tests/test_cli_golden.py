@@ -3,8 +3,10 @@
 The digests pin byte-identical output of every subcommand that reads a
 fixture file on the banana and K4 curves, plus a few larger or decorated
 cases: the degeneracy poset of C5, a small evidence scan and the full
-one the benchmark runs (five vertices, seven edges), and chi bookkeeping
-on a curve with genera and a non-free loop.  A change to any
+one the benchmark runs (five vertices, seven edges), chi bookkeeping
+on a curve with genera and a non-free loop, and the large documents of
+the orbit listings of C5 and K4 plus a 2-path and the degeneracy
+subsets and posets of K5 and C6 up to symmetry.  A change to any
 of them is a change of observable behaviour and must be deliberate.
 """
 
@@ -157,6 +159,10 @@ def test_golden_output(tmp_path, capsys, fixture, command):
 
 
 C5 = {"genera": [0] * 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
+C6 = {"genera": [0] * 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
+K5 = {"genera": [0] * 5, "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
+# K4 on {0, 1, 2, 3} plus the path 3-4-5
+K4P2 = {"genera": [0] * 6, "edges": K4["edges"] + [[3, 4], [4, 5]]}
 # the banana with genera and a loop of conftest.genus_decorated; edge 2 is
 # the loop, non-free in the sheaf
 GENUS_DECORATED = {"genera": [1, 2], "edges": [[0, 1], [0, 1], [1, 1]]}
@@ -188,6 +194,26 @@ EXTRA = {
     "qdeg-scan-5-7": (
         None, ["qdeg-scan", "--max-vertices", "5", "--max-edges", "7"],
         (0, "4de4db755bebb0b0190e76d49e284ff02916a5dd27e0f3127755c5aee3b8d54f")),
+    # large documents, recorded with the stdlib's indenting JSON encoder,
+    # the permute_mask symmetry key and the normal-form orbit filter
+    "C5-enum-orbits": (
+        C5, ["enum-orbits"],
+        (0, "a6ecd8a8d41f6cd7e96cef45ab4e9e0d04c78d1b1f071b61635c35f17b56e673")),
+    "K4p2-enum-orbits": (
+        K4P2, ["enum-orbits"],
+        (0, "eff7cbadb188ed127f98f80b7353d0dcb28cf8aa1ff906554066891440f49f55")),
+    "K5-enum-deg-mod-symmetry": (
+        K5, ["enum-deg", "--mod-symmetry"],
+        (0, "6e5bc3687d1684855db9fb58a3fbbe4eed4fe00c0674d30cefd96e1f47fc9b6d")),
+    "K5-poset-deg-json-mod-symmetry": (
+        K5, ["poset", "--kind", "deg", "--mod-symmetry"],
+        (0, "eadea3b10e3f31e3baca09581a45eecdeb7d889e09061fd31827e234ec4d3667")),
+    "C6-enum-deg-mod-symmetry": (
+        C6, ["enum-deg", "--mod-symmetry"],
+        (0, "6dc7a61003bfa637b5b6b1c152f7a3fd2a2132bb1e0765bdf2f1ad6b3a67abaf")),
+    "C6-poset-deg-json-mod-symmetry": (
+        C6, ["poset", "--kind", "deg", "--mod-symmetry"],
+        (0, "b9278161c8bbbe638b0fb1b98aba893cec098af66808937ac5430d7db6ec0d34")),
 }
 
 
@@ -208,7 +234,6 @@ def test_golden_extra_output(tmp_path, capsys, case):
     assert (code, digest) == golden
 
 
-K5 = {"genera": [0] * 5, "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
 C5_SUBCURVES = (
     (0,), (1,), (0, 1), (2,), (1, 2), (0, 1, 2), (3,), (2, 3), (1, 2, 3),
     (0, 1, 2, 3), (4,), (0, 4), (0, 1, 4), (0, 1, 2, 4), (3, 4), (0, 3, 4),

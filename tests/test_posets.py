@@ -17,6 +17,7 @@ from vstab.posets import (
     check_deg_witness,
     deg_leq,
     deg_symmetry_classes,
+    deg_symmetry_key,
     deg_witness,
     deg_witnesses,
     dominating_stabilities,
@@ -47,6 +48,7 @@ from conftest import (
     k4,
     k4_plus_path2,
     k5,
+    oracle_deg_symmetry_key,
     path3,
     single_vertex,
     triangle,
@@ -556,6 +558,26 @@ class TestOrbits:
                 nf, _ = normal_form(s)
                 assert nf in reps
 
+    @pytest.mark.parametrize("graphs", ["ladder", "catalogue-5-6"])
+    def test_zero_shift_is_own_normal_form(self, graphs):
+        # the orbit filter's predicate agrees with comparing against the
+        # translated normal form on every tree-cut candidate
+        pool = [f() for f in LADDER] if graphs == "ladder" else connected_multigraphs(5, 6)
+        for g in pool:
+            for s in enumerate_window_stabilities(g, tree_cut_pattern=True):
+                assert (not any(s.tree_cut_shift())) == (normal_form(s)[0] == s)
+
+    def test_zero_shift_is_own_normal_form_on_the_window(self):
+        # tree-cut candidates all have shift zero, so the predicate is also
+        # checked on the whole window, where shifts need not be zero
+        seen = set()
+        for g in connected_multigraphs(5, 6):
+            for s in enumerate_window_stabilities(g):
+                own = not any(s.tree_cut_shift())
+                assert own == (normal_form(s)[0] == s)
+                seen.add(own)
+        assert seen == {True, False}
+
     def test_distinct_orbits(self):
         for g in [banana(), triangle(), path3()]:
             reps = enumerate_orbits(g)
@@ -591,6 +613,13 @@ class TestHasse:
         h = hasse(reps, class_leq, label=lambda d: str(sorted(d.members)))
         assert len(h.labels) == 7
         assert len(h.covers) == 8
+
+
+@pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+def test_symmetry_key_matches_permute_mask_oracle(make):
+    g = make()
+    for d in enumerate_degeneracy_subsets(g):
+        assert deg_symmetry_key(g, d.members) == oracle_deg_symmetry_key(g, d.members)
 
 
 class TestScan:

@@ -1,0 +1,62 @@
+"""The canonical JSON emitter against its oracle, the stdlib's indenting
+encoder: ``serialize.dumps(doc) == json.dumps(doc, sort_keys=True,
+indent=2) + "\\n"`` on arbitrary documents."""
+
+import enum
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vstab.serialize import dumps
+
+
+def oracle_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# strings weighted towards what needs escaping: quotes, backslashes,
+# control characters, DEL, non-ASCII and astral characters, lone surrogates
+TEXT = st.text(st.sampled_from('a"\\/\n\r\t\b\f\x00\x1f\x7f\xe9€\U0001f600\ud800')) | st.text(
+    st.characters(exclude_categories=())
+)
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | TEXT
+    | st.integers(-(10 ** 40), 10 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(DOCS)
+def test_dumps_matches_the_stdlib(doc):
+    assert dumps(doc) == oracle_dumps(doc)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", 0, -0, True, None, -(10 ** 100),
+    [[], {}, ()], {"": {"": []}}, [1, True, 2], [Colour.RED, 1],
+    {"b": [1, -2, 10 ** 30], "a": [None, 1.5, "é\"\\\n"]},
+])
+def test_dumps_edge_cases(doc):
+    assert dumps(doc) == oracle_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {1: 2}, {None: 0}, {(0, 1): []}, {"a": 0, "b": {2: "x"}}, [{"a": [{0.5: 1}]}],
+])
+def test_non_string_key_raises_type_error(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
