@@ -90,7 +90,7 @@ def _check_symmetry_size(g: DualGraph) -> None:
 
 
 def _emit(doc):
-    sys.stdout.write(serialize.dumps(doc))
+    serialize.dump(doc, sys.stdout.write)
 
 
 def _parse_partition(text: str, I: sheaves.SheafData) -> sheaves.OrderedPartition:
@@ -180,6 +180,11 @@ def _deg_label(d) -> str:
 
 
 def cmd_poset(args) -> int:
+    if args.kind == "deg" and args.chi:
+        raise ValueError(
+            "--chi applies only to --kind vstab: degeneracy subsets do not "
+            "depend on the characteristic"
+        )
     g = _graph(args)
     if args.kind == "deg":
         if args.mod_symmetry:
@@ -200,16 +205,13 @@ def cmd_poset(args) -> int:
 
             def class_leq(a, b):
                 # a <= b when some member of b's class dominates a
-                ka, kb = keyed[id(a)], keyed[id(b)]
-                if ka == kb:
-                    return True
-                return any(posets.deg_leq(m, a) for m in members[kb])
+                return any(posets.deg_leq(m, a) for m in members[keyed[id(b)]])
 
             diagram = posets.hasse(reps, class_leq, label=_deg_label)
         else:
             diagram = posets.hasse(
                 degs,
-                lambda a, b: a.members == b.members or posets.deg_leq(b, a),
+                lambda a, b: posets.deg_leq(b, a),
                 label=_deg_label,
             )
     else:

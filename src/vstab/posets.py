@@ -13,9 +13,9 @@ each choice of options on its earlier pairs and kept; a node ANDs its
 rows and tries the surviving options in order, so the output order is
 that of the plain nested loop.  The walk is iterative and yields one live
 assignment, which callers read at once.  The dominance order is decided
-by the first witness subset E.  Orbit enumeration keeps the
-tree-cut-normalized window candidates whose tree-cut shift is zero, which
-are exactly those that are their own normal form.
+by the first witness subset E.  Orbit enumeration lists the window
+stabilities with the tree-cut pattern, each of which is its own normal
+form.
 """
 
 from __future__ import annotations
@@ -301,11 +301,7 @@ def move_drop_pair(D: DegeneracySet, Y: int) -> DegeneracySet:
     mins = minimal_elements(D)
     if Y not in mins or Yc not in mins:
         raise MoveNotApplicable("both halves of the pair must be minimal")
-    gens = set(mins) - {Y, Yc}
-    result = DegeneracySet(g, _closure_from(g, gens))
-    if not deg_leq(result, D):
-        raise AssertionError("move result does not dominate its input")
-    return result
+    return _move_result(D, set(mins) - {Y, Yc})
 
 
 def move_merge_pair(D: DegeneracySet, Y1: int, Y2: int) -> DegeneracySet:
@@ -318,8 +314,17 @@ def move_merge_pair(D: DegeneracySet, Y1: int, Y2: int) -> DegeneracySet:
     U = Y1 | Y2
     if U not in g.bcon_index:
         raise MoveNotApplicable("the union must be biconnected")
-    gens = (set(mins) - {Y1, Y2}) | {U}
-    result = DegeneracySet(g, _closure_from(g, gens))
+    return _move_result(D, (set(mins) - {Y1, Y2}) | {U})
+
+
+def _move_result(D: DegeneracySet, gens) -> DegeneracySet:
+    """The disjoint-union closure of a move's new generators, which must be
+    a degeneracy subset dominating D."""
+    members = _closure_from(D.graph, gens)
+    try:
+        result = DegeneracySet(D.graph, members)
+    except ValueError as exc:   # the closure is not closed under complement
+        raise MoveNotApplicable(f"the move's closure is not a degeneracy subset: {exc}") from exc
     if not deg_leq(result, D):
         raise AssertionError("move result does not dominate its input")
     return result
@@ -483,17 +488,18 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
 
 def enumerate_orbits(g: DualGraph) -> list[VStability]:
     """Complete, duplicate-free translation-orbit representatives at
-    characteristic 0: window candidates that are their own normal form.
+    characteristic 0: the window stabilities with the tree-cut pattern.
 
-    A candidate is its own normal form iff its tree-cut shift tau is zero:
-    a nonzero tau of total zero has a nonzero sum over some child subtree,
-    which is a biconnected subcurve that the translation moves."""
-    reps = [
-        s for s in enumerate_window_stabilities(g, tree_cut_pattern=True)
-        if not any(s.tree_cut_shift())
-    ]
-    reps.sort(key=lambda s: s.values)
-    return reps
+    Each such candidate is its own normal form.  Its characteristic is 0,
+    and on each tree cut the parent side has value 0 and the child side 0
+    or 1.  The child side is degenerate exactly when its value is 0, so the
+    normal form's target tau-sum over each child subtree, -value + (0 if
+    degenerate else 1), is 0 for both values; with total 0 as well, the
+    shift tau is zero, and distinct candidates lie in distinct orbits."""
+    return sorted(
+        enumerate_window_stabilities(g, tree_cut_pattern=True),
+        key=lambda s: s.values,
+    )
 
 
 # -- Hasse diagrams ------------------------------------------------------------------

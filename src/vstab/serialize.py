@@ -19,10 +19,12 @@ decimal indices "0".."n-1".  No subcurve or support names a vertex twice,
 no stability names a subcurve twice, and no nonfree list names an edge
 index twice.  Anything else is a SchemaError.
 
-The emitter :func:`dumps` writes the text itself in one walk over the
-document, and its output matches ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` byte for byte; that stdlib call, which falls back to
-the pure-Python encoder whenever an indent is set, is its test oracle.
+The emitter :func:`dump` walks the document once and hands each piece of
+text to a ``write`` callable as it goes, so no copy of the whole text is
+held; the CLI passes ``sys.stdout.write``.  The text matches
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` byte for byte; that
+stdlib call, which falls back to the pure-Python encoder whenever an
+indent is set, is its test oracle.
 """
 
 from __future__ import annotations
@@ -244,19 +246,18 @@ def hasse_to_dot(h: HasseDiagram) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def dumps(doc) -> str:
-    """Canonical JSON emission: sorted keys, two-space indent,
+def dump(doc, write) -> None:
+    """Canonical JSON emission, passed piece by piece to ``write`` (such as
+    ``sys.stdout.write``) as the walk goes: sorted keys, two-space indent,
     newline-terminated; the text of ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\n"``.  Object keys must be strings (TypeError
-    otherwise)."""
-    chunks: list[str] = []
-    _write(doc, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    indent=2) + "\n"``.  Object keys must be strings; a TypeError names
+    the first one that is not, after the text before it has been written."""
+    _write(doc, "\n", write)
+    write("\n")
 
 
 def _write(x, newline: str, out) -> None:
-    """Append the text of ``x`` to ``out``, with ``newline`` the line break
+    """Pass the text of ``x`` to ``out``, with ``newline`` the line break
     plus indent of the line that ``x`` starts on."""
     if isinstance(x, dict):
         if not x:

@@ -171,24 +171,20 @@ class VStability:
         if not self.is_valid:
             raise InvalidStability("operation requires a valid V-stability")
 
-    def tree_cut_shift(self) -> tuple[int, ...]:
-        """The tau that moves this stability onto its tree-cut normal form:
-        characteristic 0, value 0 on every parent side and 0 or 1 on the
-        child side, by degeneracy."""
+    @cached_property
+    def tree_cut_normal_form(self) -> tuple["VStability", tuple[int, ...]]:
+        """(representative, tau), computed once per stability; tau moves it
+        onto characteristic 0, value 0 on every parent side and 0 or 1 on
+        the child side, by degeneracy.  See :func:`vstab.posets.normal_form`,
+        the public entry point."""
         self._require_valid()
         full = self.graph.full_mask
         tree = self.graph.spanning_tree
         # target tau-sum over each child subtree
-        return tuple(tree.from_subtree_totals(-self.chi, [
+        tau = tuple(tree.from_subtree_totals(-self.chi, [
             -self.value(child) + (0 if self.is_degenerate(full ^ child) else 1)
             for child in tree.child_masks
         ]))
-
-    @cached_property
-    def tree_cut_normal_form(self) -> tuple["VStability", tuple[int, ...]]:
-        """(representative, tau), computed once per stability; see
-        :func:`vstab.posets.normal_form`, the public entry point."""
-        tau = self.tree_cut_shift()
         return translate(self, tau), tau
 
     # -- degeneracy ----------------------------------------------------------

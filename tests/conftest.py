@@ -5,6 +5,7 @@ connectivity works on adjacency sets, component counts use union-find,
 so the formulas under test are checked against independent computations.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -168,6 +169,15 @@ def oracle_fibers(g: DualGraph, edge_indices) -> list[set]:
     for v in range(g.n):
         fibers.setdefault(find(v), set()).add(v)
     return [fibers[r] for r in sorted(fibers)]
+
+
+def oracle_spanning_trees(g: DualGraph) -> int:
+    """Spanning trees, parallel edges counted apart: the sets of n - 1
+    edges whose fibers are one component, by brute force."""
+    return sum(
+        len(oracle_fibers(g, tree)) == 1
+        for tree in itertools.combinations(range(len(g.edges)), g.n - 1)
+    )
 
 
 def oracle_genus(g: DualGraph, vertices: set) -> int:

@@ -140,6 +140,15 @@ class TestEnumCommands:
         out = capsys.readouterr().out
         assert out.startswith("digraph") and "->" in out
 
+    @pytest.mark.parametrize("chi, code", [("0", 0), ("3", 2), ("-1", 2)])
+    def test_deg_poset_refuses_a_nonzero_chi(self, banana_files, capsys, chi, code):
+        # degeneracy subsets do not depend on chi, so a nonzero --chi is
+        # refused rather than ignored
+        graph, _ = banana_files
+        assert main(["poset", "--graph", graph, "--kind", "deg", "--chi", chi]) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert ("--chi" in captured.err) == (code == 2)
 
     def test_vstab_poset_over_budget_exits_two(self, tmp_path, capsys):
         # K5's window has 16 321 stabilities: refused after the enumeration,

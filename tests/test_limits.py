@@ -17,11 +17,12 @@ from vstab.limits import (
     twisting_subcurve,
 )
 from vstab.posets import enumerate_orbits
-from vstab.sheaves import is_semistable
+from vstab.sheaves import enumerate_semistable, is_semistable
 from vstab.stability import extended_value_table
 
 from conftest import (
-    LADDER, banana, cycle5, genus_decorated, oracle_solve_integer, path3, triangle,
+    LADDER, banana, cycle5, genus_decorated, k4, k4_plus_path2, oracle_solve_integer,
+    oracle_spanning_trees, path3, triangle,
 )
 
 
@@ -282,20 +283,23 @@ class TestIntegerSolve:
 
 
 class TestSemistableCounts:
-    def test_general_counts_constant_over_general_orbits(self):
-        # the number of semistable multidegrees per degree class, reported
-        # for general stabilities; constancy observed, not asserted deeply
-        g = triangle()
-        counts = set()
-        for s in enumerate_orbits(g):
-            if not s.is_general():
-                continue
-            need = s.chi - (g.n - sum(g.genera)) + len(g.edges)
-            n_semi = 0
-            for d in itertools.product(range(-4, 5), repeat=3):
-                if sum(d) != need:
-                    continue
-                if all(beta(d, s, Z) >= 0 for Z in g.biconnected_subcurves):
-                    n_semi += 1
-            counts.add(n_semi)
-        assert len(counts) == 1
+    def test_general_census_equals_spanning_trees(self):
+        # a general stability has exactly one semistable multidegree in
+        # each chip-firing class, and the classes are as many as the
+        # spanning trees (Oda-Seshadri); the census runs over the derived
+        # degree windows of enumerate_semistable, not a fixed box
+        graphs = [banana(), k4(), cycle5(), k4_plus_path2()]
+        assert [oracle_spanning_trees(g) for g in graphs] == [2, 16, 5, 16]
+        for g in graphs:
+            general = [s for s in enumerate_orbits(g) if s.is_general()]
+            assert general
+            for s in general:
+                degrees = [
+                    I.multidegree
+                    for I in enumerate_semistable(g, s, full_support_only=True)
+                    if not I.nonfree
+                ]
+                assert len(degrees) == oracle_spanning_trees(g)
+                for i, d in enumerate(degrees):
+                    for e in degrees[i + 1:]:
+                        assert not same_orbit(g, d, e)[0]

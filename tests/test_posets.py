@@ -3,11 +3,12 @@ import hashlib
 import itertools
 import random
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstab import VStability
+from vstab import DualGraph, VStability
 from vstab.errors import MoveNotApplicable, NotAPartialOrder
 from vstab.graphenum import connected_multigraphs
 from vstab.graphs import mask_of, vertices_of
@@ -387,6 +388,33 @@ class TestMoves:
                             out = move_II(d, Y1, Y2)
                             assert deg_leq(out, d)
 
+    def test_merge_with_a_closure_open_under_complement(self):
+        # K_{2,3}: the closure of the merged generators keeps {4} but not
+        # its complement, so it is no degeneracy subset
+        g = DualGraph((0,) * 5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)))
+        d = DegeneracySet(g, frozenset({1, 2, 3, 13, 15, 16, 18, 28, 29, 30}))
+        with pytest.raises(MoveNotApplicable, match="not closed under complement"):
+            move_II(d, 1, 2)
+
+    def test_moves_dominate_or_refuse_on_the_catalogue(self):
+        # every move I and II on minimal elements of every degeneracy subset
+        # of the (5, 6) catalogue returns a dominated subset or refuses
+        refused_closures = 0
+        for g in connected_multigraphs(5, 6):
+            for d in enumerate_degeneracy_subsets(g):
+                mins = minimal_elements(d)
+                moves = [partial(move_I, d, Y) for Y in mins] + [
+                    partial(move_II, d, Y1, Y2) for Y1 in mins for Y2 in mins if Y1 < Y2
+                ]
+                for move in moves:
+                    try:
+                        out = move()
+                    except MoveNotApplicable as exc:
+                        refused_closures += "closure" in str(exc)
+                        continue
+                    assert deg_leq(out, d)
+        assert refused_closures == 24
+
 
 class TestVStabOrder:
     def test_lift_identity(self):
@@ -560,21 +588,23 @@ class TestOrbits:
 
     @pytest.mark.parametrize("graphs", ["ladder", "catalogue-5-6"])
     def test_zero_shift_is_own_normal_form(self, graphs):
-        # the orbit filter's predicate agrees with comparing against the
-        # translated normal form on every tree-cut candidate
+        # every tree-cut candidate has shift zero and is its own normal
+        # form, which is why enumerate_orbits keeps them all unfiltered
         pool = [f() for f in LADDER] if graphs == "ladder" else connected_multigraphs(5, 6)
         for g in pool:
             for s in enumerate_window_stabilities(g, tree_cut_pattern=True):
-                assert (not any(s.tree_cut_shift())) == (normal_form(s)[0] == s)
+                nf, tau = normal_form(s)
+                assert nf == s and not any(tau)
 
     def test_zero_shift_is_own_normal_form_on_the_window(self):
-        # tree-cut candidates all have shift zero, so the predicate is also
-        # checked on the whole window, where shifts need not be zero
+        # on the whole window, where shifts need not be zero, a stability
+        # is its own normal form iff its shift is zero
         seen = set()
         for g in connected_multigraphs(5, 6):
             for s in enumerate_window_stabilities(g):
-                own = not any(s.tree_cut_shift())
-                assert own == (normal_form(s)[0] == s)
+                nf, tau = normal_form(s)
+                own = not any(tau)
+                assert own == (nf == s)
                 seen.add(own)
         assert seen == {True, False}
 

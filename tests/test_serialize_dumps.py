@@ -1,18 +1,29 @@
 """The canonical JSON emitter against its oracle, the stdlib's indenting
-encoder: ``serialize.dumps(doc) == json.dumps(doc, sort_keys=True,
-indent=2) + "\\n"`` on arbitrary documents."""
+encoder: the pieces ``serialize.dump`` writes join to ``json.dumps(doc,
+sort_keys=True, indent=2) + "\\n"`` on arbitrary documents, and it
+writes them without holding the whole text."""
 
 import enum
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstab.serialize import dumps
+from vstab.posets import enumerate_orbits
+from vstab.serialize import dump, stability_to_json
+
+from conftest import k5
 
 
 def oracle_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def dumps(doc) -> str:
+    chunks: list[str] = []
+    dump(doc, chunks.append)
+    return "".join(chunks)
 
 
 # strings weighted towards what needs escaping: quotes, backslashes,
@@ -60,3 +71,24 @@ def test_dumps_edge_cases(doc):
 def test_non_string_key_raises_type_error(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def test_dump_streams_the_k5_orbit_document():
+    # the 3.7 MB document of `enum-orbits` on K5 goes to a sink that only
+    # counts: no chunk list and no joined copy of the text is held
+    doc = {"orbits": [stability_to_json(s) for s in enumerate_orbits(k5())]}
+    expected = len(oracle_dumps(doc))
+    size = 0
+
+    def count(text):
+        nonlocal size
+        size += len(text)
+
+    tracemalloc.start()
+    try:
+        dump(doc, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == expected > 3_000_000
+    assert peak < 1_000_000
