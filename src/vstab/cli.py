@@ -51,18 +51,29 @@ MAX_SYMMETRY_VERTICES = 8
 # entries: a translated stability shifts betas like degrees, so (0, 0) on a
 # banana with values (10**9, -10**9) has deficit 10**9 - 1.  D may not
 # exceed MAX_LIMIT_DEGREE, nor D * 4**n exceed MAX_LIMIT_WORK: the walk
-# takes of order D twists, and each expansion of the best-first completion
-# tries 2**n twists over 2**n betas.  So D <= 5000 for n <= 5, 1250 for
-# n = 6, 312 for n = 7 and 78 for n = 8.  At the bound, the slowest of
-# three start patterns on sampled orbit stabilities (every 7th on C5, up
-# to every 300th on C7) took (CPU time, process peak RSS; Python 3.11.7,
-# one core of a 2-vCPU box): C5
-# 2.8 s and 70 MB, K5 0.1 s, C6 2.6 s and 68 MB, K4 with a 2-path 2.4 s
-# and 123 MB, C7 2.2 s and 55 MB; C8 1.1 s and 28 MB on one general
+# takes of order D twists, and each step of the monotone expansion tries
+# 2**n twists over 2**n betas.  So D <= 5000 for n <= 5, 1250 for n = 6,
+# 312 for n = 7 and 78 for n = 8.  At the bound, the slowest of three
+# start patterns (+k on vertex 0, -k on vertex n - 1, n // 2 or 1) on
+# sampled orbit stabilities (every 7th on C5, every 50th on K5 and C6,
+# every 8th on K4 with a 2-path, every 300th on C7) took (CPU time,
+# process peak RSS; Python 3.11.7, one core of a 2-vCPU box): C5 1.7 s
+# and 46 MB, K5 0.1 s and 29 MB, C6 1.9 s and 35 MB, K4 with a 2-path
+# 1.3-2.0 s and 48 MB, C7 1.8-2.2 s and 34 MB; C8 1.1 s on one general
 # stability.  Larger n was not measured; the bound keeps shrinking
 # fourfold per component.
 MAX_LIMIT_DEGREE = 5000
 MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
+
+# The most candidate sheaves `semistable --window W` may test (_window_work),
+# checked before the enumeration: 2**|E| (2W+1)**(n-1) on the full support.
+# Each candidate costs about 40 us (triangle to C8), so the cost grows as
+# (2W+1)**(n-1): the triangle took 3.2 s at W = 50 and 58 s at W = 200.
+# The bound admits W <= 55 on the triangle, 5 on K4, 3 on C5 and 12499 on
+# the banana.  At the bound these took (CPU time, Python 3.11.7, one core
+# of a 2-vCPU box, 27 MB peak RSS): triangle 3.5 s, K4 4.3 s, C5 3.1 s,
+# banana 4.8 s; with --all-supports, triangle at W = 54 4.1 s.
+MAX_WINDOW_WORK = 100_000
 
 
 def _load_json(path: str):
@@ -87,6 +98,17 @@ def _check_symmetry_size(g: DualGraph) -> None:
             f"--mod-symmetry: the graph has {g.n} components, more than "
             f"{MAX_SYMMETRY_VERTICES} for the automorphism search"
         )
+
+
+def _window_work(g: DualGraph, window: int, all_supports: bool) -> int:
+    """The most (non-free node set, multidegree) pairs `semistable --window`
+    tests: 2**|E| node sets times (2W+1)**(k-1) degree vectors of the
+    forced sum on a support of k components, on the full support alone or
+    summed over every support, sum_k C(n, k) (2W+1)**(k-1)."""
+    side = 2 * window + 1
+    if not all_supports:
+        return 2 ** len(g.edges) * side ** (g.n - 1)
+    return 2 ** len(g.edges) * ((side + 1) ** g.n - 1) // side
 
 
 def _emit(doc):
@@ -185,6 +207,11 @@ def cmd_poset(args) -> int:
             "--chi applies only to --kind vstab: degeneracy subsets do not "
             "depend on the characteristic"
         )
+    if args.kind == "vstab" and args.mod_symmetry:
+        raise ValueError(
+            "--mod-symmetry applies only to --kind deg: window stabilities "
+            "are not grouped by symmetry"
+        )
     g = _graph(args)
     if args.kind == "deg":
         if args.mod_symmetry:
@@ -262,8 +289,15 @@ def cmd_semistable(args) -> int:
     if not s.is_valid:
         _emit({"error": "stability is not valid"})
         return EXIT_INPUT
-    if args.window is not None and args.window < 0:
-        raise ValueError("--window must be non-negative")
+    if args.window is not None:
+        if args.window < 0:
+            raise ValueError("--window must be non-negative")
+        work = _window_work(g, args.window, args.all_supports)
+        if work > MAX_WINDOW_WORK:
+            raise ValueError(
+                f"--window {args.window}: up to {work} candidate sheaves on "
+                f"{g.n} components, more than {MAX_WINDOW_WORK} for one enumeration"
+            )
     classes = sheaves.enumerate_semistable(
         g, s,
         full_support_only=not args.all_supports,

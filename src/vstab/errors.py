@@ -54,4 +54,5 @@ class NotAPartialOrder(VstabError):
 
 
 class NonTermination(VstabError):
-    """A step bound was exceeded; internal-error class."""
+    """A limit walk exhausted its finite search without a semistable point;
+    internal-error class."""

@@ -15,7 +15,6 @@ subcurve.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, NonTermination
@@ -48,7 +47,8 @@ def beta(d, s: VStability, Z: int) -> int:
 
 def beta_deficit(d, s: VStability) -> int:
     """Minus the least beta over all subcurves (the empty one's is 0): both
-    searches of ``esteves_limit`` from d keep every beta at least minus it."""
+    candidate orders of ``esteves_limit`` from d keep every beta at least
+    minus it."""
     if len(d) != s.graph.n:
         raise DomainMismatch("one degree per component required")
     return -min(_beta_all(s.graph, d, extended_value_table(s)))
@@ -153,33 +153,39 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     """Twist until beta is nonnegative on all biconnected subcurves;
     returns the semistable multidegree and the audit trace.
 
-    The primary walk twists by stabilized minimizer unions.  Minimizers
+    One depth-first walk, run with two candidate orders, each time from d0
+    with nothing visited; it backtracks over a node's candidates and never
+    enters a multidegree twice.
+
+    The first order is the lemma's: one twist per distinct stabilized
+    minimizer union, in the order of the starting minimizers (minimizers
     need not be closed under union, so a stabilized union can degenerate
-    to the whole curve (a trivial twist); the walk therefore backtracks
-    over the per-step choice of starting minimizer, depth first, never
-    entering a multidegree twice.  Steps on this walk satisfy the full
-    post-twist inequality (beta after twisting dominates the previous
-    minimum, strictly off the twisted subcurve), which is asserted.
+    to the whole curve, a trivial twist, and the other starts are the
+    alternatives).  Its steps satisfy the full post-twist inequality
+    (beta after twisting dominates the previous minimum, strictly off the
+    twisted subcurve), which is asserted.
 
-    Sometimes every such walk dead-ends: no proper subcurve twist
-    satisfies the strict inequality at some reachable multidegree.  This
-    is not rare: it happened in about 18% of the runs of the benchmark's
-    ``limits`` workload (C5, C6, K4 with a 2-path, K5), and on C5, over
-    every orbit and the degree box of acceptance criterion 09, in 15% of
-    the runs for general stabilities and 12% for degenerate ones.  The
-    search then completes with a best-first walk over monotone twists
-    (minimum beta never decreases), whose steps are flagged as
-    non-lemma steps in the trace.
+    Sometimes this walk dead-ends: no proper subcurve twist satisfies the
+    strict inequality at some reachable multidegree.  This is not rare: it
+    happened in about 18% of the runs of the benchmark's ``limits``
+    workload (C5, C6, K4 with a 2-path, K5), and on C5, over every orbit
+    and the degree box of acceptance criterion 09, in 15% of the runs for
+    general stabilities and 12% for degenerate ones.  The walk then runs
+    again with the second order, the monotone expansion: every proper
+    twist that keeps the minimum beta, least badness first (minus the sum
+    of the negative betas on biconnected subcurves), ties by subcurve.
+    Its steps are flagged in the trace by whether they satisfy the
+    inequality.
 
-    Both searches terminate.  Every multidegree either reaches has minimum
-    beta at least m0 = -beta_deficit(d0, s): the asserted post-twist
-    inequality gives this on the primary walk, and the completion admits
-    no twist that lowers the minimum.  Beta on a single component v is
-    d_v plus a constant of v, so d_v is bounded below, and the total
-    degree is fixed, so d_v is bounded above too.  Each search therefore
-    ranges over a finite set of multidegrees, and neither enters one
-    twice.  The completion raises NonTermination only when it exhausts
-    that set without a semistable point, which has never been observed.
+    Both walks terminate.  Every multidegree either reaches has minimum
+    beta at least m0 = -beta_deficit(d0, s): the asserted inequality gives
+    this in the first order, and the second admits no twist that lowers
+    the minimum.  Beta on a single component v is d_v plus a constant of
+    v, so d_v is bounded below, and the total degree is fixed, so d_v is
+    bounded above too.  Each walk therefore ranges over a finite set of
+    multidegrees and enters none twice.  NonTermination is raised only
+    when the monotone walk exhausts that set without a semistable point,
+    which has never been observed.
     """
     g = s.graph
     d0 = tuple(int(x) for x in d0)
@@ -192,14 +198,15 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     ext = extended_value_table(s)
     bcon = g.biconnected_subcurves
     full = g.full_mask
+    shifts = g.subset_sum_shifts
     total = sum(d0)
 
     def semistable(betas):
         return all(betas[Z] >= 0 for Z in bcon)
 
-    def candidates(d, betas):
-        """Proper twists from d, one per distinct stabilized union, in the
-        order of the starting minimizers."""
+    def lemma_twists(d, betas):
+        """One twist per distinct stabilized union, in the order of the
+        starting minimizers."""
         m = min(betas)
         tried = set()
         for start in _minimizer_starts(betas):
@@ -208,77 +215,45 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
                 tried.add(Y)
                 yield Y, m, d2, nb
 
+    def monotone_twists(d, betas):
+        """Every proper twist keeping the minimum beta, by (badness, Y);
+        only the key is kept, the betas are rebuilt when yielded."""
+        m = min(betas)
+        order = []
+        for Y in range(1, full):
+            nb = [b + sh for b, sh in zip(betas, shifts[Y])]
+            if min(nb) >= m:
+                order.append((-sum(nb[Z] for Z in bcon if nb[Z] < 0), Y))
+        order.sort()
+        for _, Y in order:
+            yield Y, m, twist(g, d, Y), [b + sh for b, sh in zip(betas, shifts[Y])]
+
     betas0 = _beta_all(g, d0, ext)
     if semistable(betas0):
         return d0, LimitTrace(d0, (), d0)
-    visited = {d0}
-    # the walk from d0: per node, the step into it and its candidates
-    path = [(None, candidates(d0, betas0))]
-    while path:
-        twisted = next(path[-1][1], None)
-        if twisted is None:
-            path.pop()
-            continue
-        Y, old_min, d2, nb = twisted
-        if not _post_twist_holds(nb, old_min, Y):
-            raise AssertionError("post-twist beta inequality violated")
-        if sum(d2) != total:
-            raise AssertionError("twist changed the total degree")
-        step = LimitStep(Y, old_min, d2)
-        if semistable(nb):
-            steps = tuple(st for st, _ in path[1:]) + (step,)
-            return d2, LimitTrace(d0, steps, d2)
-        if d2 not in visited:
-            visited.add(d2)
-            path.append((step, candidates(d2, nb)))
-    return _monotone_completion(g, ext, d0, betas0)
-
-
-def _monotone_completion(g, ext, d0, betas0):
-    """Best-first walk of monotone twists (minimum beta non-decreasing) to
-    a semistable multidegree; used when the stabilized-union walk
-    dead-ends.  A twist is admitted only if the minimum beta does not
-    fall, and no multidegree is queued twice."""
-    bcon = g.biconnected_subcurves
-    full = g.full_mask
-    shifts = g.subset_sum_shifts
-    deltas = g.twist_deltas
-
-    def badness(betas):
-        return -sum(betas[Z] for Z in bcon if betas[Z] < 0)
-
-    parent = {d0: None}
-    counter = 0
-    heap = [(badness(betas0), 0, d0, betas0)]
-    goal = None
-    while heap:
-        bad, _, d, betas = heapq.heappop(heap)
-        if bad == 0:
-            goal = d
-            break
-        m = min(betas)
-        for Y in range(1, full):
-            d2 = tuple(a + b for a, b in zip(d, deltas[Y]))
-            if d2 in parent:
+    for twists in (lemma_twists, monotone_twists):
+        visited = {d0}
+        # the walk from d0: per node, the step into it and its candidates
+        path = [(None, twists(d0, betas0))]
+        while path:
+            twisted = next(path[-1][1], None)
+            if twisted is None:
+                path.pop()
                 continue
-            shift = shifts[Y]
-            nb = [b + sh for b, sh in zip(betas, shift)]
-            if min(nb) < m:
-                continue
-            parent[d2] = (d, Y, m)
-            counter += 1
-            heapq.heappush(heap, (badness(nb), counter, d2, nb))
-    if goal is None:
-        raise NonTermination("no monotone twist path reached a semistable point")
-    chain = []
-    node = goal
-    while parent[node] is not None:
-        prev, Y, m = parent[node]
-        lemma = _post_twist_holds(_beta_all(g, node, ext), m, Y)
-        chain.append(LimitStep(Y, m, node, lemma))
-        node = prev
-    chain.reverse()
-    return goal, LimitTrace(d0, tuple(chain), goal)
+            Y, old_min, d2, nb = twisted
+            lemma = _post_twist_holds(nb, old_min, Y)
+            if twists is lemma_twists and not lemma:
+                raise AssertionError("post-twist beta inequality violated")
+            if sum(d2) != total:
+                raise AssertionError("twist changed the total degree")
+            step = LimitStep(Y, old_min, d2, lemma)
+            if semistable(nb):
+                steps = tuple(st for st, _ in path[1:]) + (step,)
+                return d2, LimitTrace(d0, steps, d2)
+            if d2 not in visited:
+                visited.add(d2)
+                path.append((step, twists(d2, nb)))
+    raise NonTermination("no monotone twist path reached a semistable point")
 
 
 def _post_twist_holds(betas, old_min: int, Y: int) -> bool:

@@ -877,7 +877,7 @@ def test_criterion_09_limit_algorithm():
 
     elapsed = time.time() - t0
     _report(9, f"{runs} limit runs, {completions} needed the monotone "
-               f"completion, {elapsed:.1f}s")
+               f"expansion, {elapsed:.1f}s")
 
 
 @pytest.mark.xfail(

@@ -150,6 +150,16 @@ class TestEnumCommands:
         assert bool(captured.out) == (code == 0)
         assert ("--chi" in captured.err) == (code == 2)
 
+    @pytest.mark.parametrize("kind, code", [("deg", 0), ("vstab", 2)])
+    def test_vstab_poset_refuses_mod_symmetry(self, banana_files, capsys, kind, code):
+        # window stabilities are not grouped by symmetry, so the flag is
+        # refused with --kind vstab rather than ignored
+        graph, _ = banana_files
+        assert main(["poset", "--graph", graph, "--kind", kind, "--mod-symmetry"]) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert ("--mod-symmetry" in captured.err) == (code == 2)
+
     def test_vstab_poset_over_budget_exits_two(self, tmp_path, capsys):
         # K5's window has 16 321 stabilities: refused after the enumeration,
         # before the quadratic Hasse diagram
@@ -410,6 +420,33 @@ class TestWindowAndBounds:
                      "--stability", stability({1: 0, 2: 0}), "--window", "-1"])
         assert code == 2
         assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["56", str(HUGE)])
+    def test_window_over_budget_exits_two_at_once(self, tmp_path, capsys, window):
+        # the triangle at W = 56 could test 8 * 113**2 candidate sheaves
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(triangle())))
+        stability = tmp_path / "stability.json"
+        stability.write_text(json.dumps(stability_to_json(enumerate_orbits(triangle())[0])))
+        start = time.process_time()
+        assert main(["semistable", "--graph", str(graph), "--stability", str(stability),
+                     "--window", window]) == 2
+        assert time.process_time() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window" in captured.err and str(cli.MAX_WINDOW_WORK) in captured.err
+
+    @pytest.mark.parametrize("supports, work", [([], 4 * 7), (["--all-supports"], 4 * 9)])
+    @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 2)])
+    def test_window_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                        supports, work, slack, code):
+        # the banana at W = 3: 2**2 node sets times 7 degree vectors on the
+        # full support, and (8**2 - 1) / 7 = 9 over all supports
+        graph, stability = banana_files
+        monkeypatch.setattr(cli, "MAX_WINDOW_WORK", work + slack)
+        assert main(["semistable", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
+                     "--window", "3", *supports]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
 
     @pytest.mark.parametrize("flag, bound", [
         pytest.param("--max-vertices", "0", id="0"),
