@@ -15,7 +15,7 @@ import sys
 
 from . import graphenum, limits, polarization, posets, serialize, sheaves
 from .errors import InvalidPartition, VstabError
-from .graphs import DualGraph, vertices_of
+from .graphs import DualGraph, popcount, vertices_of
 from .serialize import SchemaError
 from .stability import VStability
 
@@ -66,13 +66,15 @@ MAX_LIMIT_DEGREE = 5000
 MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
 
 # The most candidate sheaves `semistable --window W` may test (_window_work),
-# checked before the enumeration: 2**|E| (2W+1)**(n-1) on the full support.
-# Each candidate costs about 40 us (triangle to C8), so the cost grows as
-# (2W+1)**(n-1): the triangle took 3.2 s at W = 50 and 58 s at W = 200.
-# The bound admits W <= 55 on the triangle, 5 on K4, 3 on C5 and 12499 on
-# the banana.  At the bound these took (CPU time, Python 3.11.7, one core
-# of a 2-vCPU box, 27 MB peak RSS): triangle 3.5 s, K4 4.3 s, C5 3.1 s,
-# banana 4.8 s; with --all-supports, triangle at W = 54 4.1 s.
+# checked before the enumeration: 2**|E| (2W+1)**(n-1) on the full support;
+# with --all-supports, 2**e (2W+1)**(k-1) summed over the supports of k
+# components with e internal edges.  Each candidate costs about 40 us
+# (triangle to C8), so the cost grows as (2W+1)**(n-1): the triangle took
+# 3.2 s at W = 50 and 58 s at W = 200.  The bound admits W <= 55 on the
+# triangle, 5 on K4, 3 on C5 and 12499 on the banana, with or without
+# --all-supports.  At the bound these took (CPU time, Python 3.11.7, one
+# core of a 2-vCPU box, 28 MB peak RSS): triangle 3.9 s, K4 4.8 s, C5
+# 3.9 s, banana 4.1 s; with --all-supports 4.6, 4.1, 3.8 and 3.9 s.
 MAX_WINDOW_WORK = 100_000
 
 
@@ -102,13 +104,14 @@ def _check_symmetry_size(g: DualGraph) -> None:
 
 def _window_work(g: DualGraph, window: int, all_supports: bool) -> int:
     """The most (non-free node set, multidegree) pairs `semistable --window`
-    tests: 2**|E| node sets times (2W+1)**(k-1) degree vectors of the
-    forced sum on a support of k components, on the full support alone or
-    summed over every support, sum_k C(n, k) (2W+1)**(k-1)."""
+    tests: on a support of k components with e internal edges, 2**e node
+    sets times (2W+1)**(k-1) degree vectors of the forced sum, on the full
+    support alone or summed over every support."""
     side = 2 * window + 1
-    if not all_supports:
-        return 2 ** len(g.edges) * side ** (g.n - 1)
-    return 2 ** len(g.edges) * ((side + 1) ** g.n - 1) // side
+    supports = range(1, g.full_mask + 1) if all_supports else [g.full_mask]
+    return sum(
+        2 ** g.internal_edge_count(Y) * side ** (popcount(Y) - 1) for Y in supports
+    )
 
 
 def _emit(doc):

@@ -256,23 +256,15 @@ class DualGraph:
     def biconnected_within(self, Y: int) -> tuple[int, ...]:
         """Biconnected subcurves of Y viewed as a curve in its own right:
         nonempty proper Z <= Y with Z and Y - Z connected, ascending."""
-        cache = self._bcon_within_cache
-        got = cache.get(Y)
-        if got is not None:
-            return got
+        con = self._connected_set
         out = []
         Z = (Y - 1) & Y
         while Z:
-            if self.is_connected(Z) and self.is_connected(Y ^ Z):
+            if Z in con and Y ^ Z in con:
                 out.append(Z)
             Z = (Z - 1) & Y
         out.reverse()
-        cache[Y] = got = tuple(out)
-        return got
-
-    @cached_property
-    def _bcon_within_cache(self) -> dict[int, tuple[int, ...]]:
-        return {}
+        return tuple(out)
 
     # -- edge counting ----------------------------------------------------
 
@@ -297,38 +289,20 @@ class DualGraph:
         )
 
     def internal_edge_count(self, Y: int) -> int:
-        cache = self._internal_count_cache
-        c = cache.get(Y)
-        if c is None:
-            c = len(self.internal_edges(Y))
-            cache[Y] = c
-        return c
-
-    @cached_property
-    def _internal_count_cache(self) -> dict[int, int]:
-        return {}
+        return len(self.internal_edges(Y))
 
     @cached_property
     def twist_deltas(self) -> tuple[tuple[int, ...], ...]:
-        """Per subcurve mask: the chip-firing degree change of a twist."""
-        mult = self.multiplicity
-        n = self.n
-        out = []
-        for Y in range(self.full_mask + 1):
-            delta = [0] * n
-            for v in range(n):
-                if (Y >> v) & 1:
-                    delta[v] = sum(
-                        mult[v][w] for w in range(n)
-                        if w != v and not (Y >> w) & 1
-                    )
-                else:
-                    delta[v] = -sum(
-                        mult[v][w] for w in range(n)
-                        if w != v and (Y >> w) & 1
-                    )
-            out.append(tuple(delta))
-        return tuple(out)
+        """Per subcurve mask: the chip-firing degree change of a twist, the
+        graph Laplacian applied to the mask's indicator.  Loops do not
+        contribute, and the Laplacian is symmetric, so entry v is the
+        subset sum of row v over the mask."""
+        rows = []
+        for v, mult in enumerate(self.multiplicity):
+            row = [-m for m in mult]
+            row[v] = sum(mult) - mult[v]
+            rows.append(subset_sums(row))
+        return tuple(zip(*rows))
 
     @cached_property
     def subset_sum_shifts(self) -> tuple[tuple[int, ...], ...]:
@@ -341,12 +315,10 @@ class DualGraph:
         """Per mask: chi of the degree-0 line bundle on that subcurve
         (component terms minus internal edges); chi of any multidegree is
         this plus the degree sum."""
-        base = [0] * (self.full_mask + 1)
-        for mask in range(1, self.full_mask + 1):
-            base[mask] = sum(
-                1 - self.genera[v] for v in vertices_of(mask)
-            ) - self.internal_edge_count(mask)
-        return tuple(base)
+        return tuple(
+            c - self.internal_edge_count(Y)
+            for Y, c in enumerate(subset_sums([1 - x for x in self.genera]))
+        )
 
     def subcurve_genus(self, Y: int) -> int:
         """Arithmetic genus of the subcurve Y (0 for the empty subcurve)."""

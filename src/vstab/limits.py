@@ -270,13 +270,9 @@ def _post_twist_holds(betas, old_min: int, Y: int) -> bool:
 
 
 def laplacian(g: DualGraph) -> list[list[int]]:
-    """Graph Laplacian (valence minus adjacency); loops do not contribute."""
-    n = g.n
-    mult = g.multiplicity
-    L = [[-mult[v][w] if w != v else 0 for w in range(n)] for v in range(n)]
-    for v in range(n):
-        L[v][v] = -sum(L[v])
-    return L
+    """Graph Laplacian (valence minus adjacency); loops do not contribute.
+    It is symmetric, and its column v is the twist by component v."""
+    return [list(g.twist_deltas[1 << v]) for v in range(g.n)]
 
 
 def same_orbit(g: DualGraph, d1, d2):
@@ -285,7 +281,8 @@ def same_orbit(g: DualGraph, d1, d2):
     Twist vectors of single components span the image of the graph
     Laplacian (modulo the all-ones relation); membership is decided by
     exact integer elimination.  Returns (flag, witness) with the witness a
-    twist multiplicity vector normalized to minimum entry zero.
+    twist multiplicity vector normalized to minimum entry zero; it is
+    checked as d2 + L w == d1, so the check does not grow with w.
     """
     d1 = tuple(int(x) for x in d1)
     d2 = tuple(int(x) for x in d2)
@@ -298,7 +295,8 @@ def same_orbit(g: DualGraph, d1, d2):
     # kernel of a connected Laplacian is the constants, so setting the free
     # variable to zero leaves one rational solution, and some integer
     # solution exists iff every pivot value r / D is an integer
-    pivots, _ = solve_equalities(list(zip(laplacian(g), diff)), g.n)
+    L = laplacian(g)
+    pivots, _ = solve_equalities(list(zip(L, diff)), g.n)
     x = [0] * g.n
     for p, (D, _, r) in pivots.items():
         if r % D:
@@ -306,10 +304,9 @@ def same_orbit(g: DualGraph, d1, d2):
         x[p] = r // D
     shift = min(x)
     witness = tuple(v - shift for v in x)
-    applied = d2
-    for v, times in enumerate(witness):
-        for _ in range(times):
-            applied = twist(g, applied, 1 << v)
+    applied = tuple(
+        b + sum(a * w for a, w in zip(row, witness)) for b, row in zip(d2, L)
+    )
     if applied != d1:
         raise AssertionError("orbit witness failed to reproduce the difference")
     return True, witness

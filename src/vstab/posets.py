@@ -277,20 +277,16 @@ def check_deg_witness(D1: DegeneracySet, D2: DegeneracySet, E: frozenset[int]) -
 
 
 def _closure_from(g: DualGraph, generators: Iterable[int]) -> frozenset[int]:
-    """Disjoint-union closure of a set of biconnected subcurves."""
-    bcon = g.bcon_index
+    """Disjoint-union closure of a set of biconnected subcurves: the
+    fixpoint of adding the union of every admissible pair inside it."""
     members = set(generators)
     grew = True
     while grew:
         grew = False
-        snapshot = sorted(members)
-        for i, A in enumerate(snapshot):
-            for B in snapshot[i + 1:]:
-                if not A & B:
-                    U = A | B
-                    if U in bcon and U not in members:
-                        members.add(U)
-                        grew = True
+        for A, B, U in g.admissible_pairs:
+            if A in members and B in members and U not in members:
+                members.add(U)
+                grew = True
     return frozenset(members)
 
 
@@ -566,15 +562,34 @@ def deg_symmetry_classes(g: DualGraph, degs: list[DegeneracySet]):
 
 
 def _all_maximal_chains_equal(n: int, covers: list[tuple[int, int]]):
-    """(ranked, common length) for the DAG of cover relations."""
+    """(ranked, common length) for the DAG of cover relations, each cover
+    (lo, hi) going from a lower to a higher node index.
+
+    ``qdeg_scan`` lists the degeneracy subsets by size, and a cover's lower
+    set is a proper subset of its upper set, so its covers go upward in
+    index.  One ascending sweep then fills the shortest and longest chain
+    down from each node to a minimal one, and one descending sweep the
+    chains up to a maximal one.
+    """
     ups = [[] for _ in range(n)]     # covers above each node
     downs = [[] for _ in range(n)]   # covers below each node
     for lo, hi in covers:
+        if lo >= hi:
+            raise ValueError(f"cover ({lo}, {hi}) does not go up in index")
         ups[lo].append(hi)
         downs[hi].append(lo)
 
-    up = _chain_lengths(ups)
-    down = _chain_lengths(downs)
+    sweeps = []
+    for neighbors, order in ((downs, range(n)), (ups, range(n - 1, -1, -1))):
+        lengths = [(0, 0)] * n    # (shortest, longest) chain from each node
+        for v in order:
+            if neighbors[v]:
+                lengths[v] = (
+                    1 + min(lengths[w][0] for w in neighbors[v]),
+                    1 + max(lengths[w][1] for w in neighbors[v]),
+                )
+        sweeps.append(lengths)
+    down, up = sweeps
     totals = set()
     for v in range(n):
         lo = up[v][0] + down[v][0]
@@ -585,26 +600,6 @@ def _all_maximal_chains_equal(n: int, covers: list[tuple[int, int]]):
     if len(totals) != 1:
         return False, None
     return True, totals.pop()
-
-
-def _chain_lengths(neighbors) -> list[tuple[int, int]]:
-    """Per node of a DAG: the (shortest, longest) length of a maximal path
-    from it along ``neighbors``."""
-    memo: dict[int, tuple[int, int]] = {}
-    return [_chain_length(v, neighbors, memo) for v in range(len(neighbors))]
-
-
-def _chain_length(v: int, neighbors, memo) -> tuple[int, int]:
-    if v not in memo:
-        if not neighbors[v]:
-            memo[v] = (0, 0)
-        else:
-            vals = [_chain_length(w, neighbors, memo) for w in neighbors[v]]
-            memo[v] = (
-                1 + min(a for a, _ in vals),
-                1 + max(b for _, b in vals),
-            )
-    return memo[v]
 
 
 def qdeg_scan(g: DualGraph) -> dict:

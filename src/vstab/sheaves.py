@@ -419,18 +419,15 @@ def enumerate_semistable(
         if not all(c in dhat for c in comps):
             continue
         verts = vertices_of(supp)
+        # target and windows depend on the support alone; on the full
+        # support the target is chi, the extended value of the whole curve
+        target = sum(s.extended_value(c) for c in comps)
+        if degree_window is not None:
+            windows = [(-degree_window, degree_window)] * len(verts)
+        else:
+            windows = [_degree_window_for(g, s, supp, v) for v in verts]
         for nonfree in _subsets(g.internal_edges(supp)):
-            target = (
-                s.chi if supp == g.full_mask else
-                sum(s.extended_value(c) for c in comps)
-            )
             degsum = target - g.line_chi_base[supp] - len(nonfree)
-            windows = []
-            for v in verts:
-                if degree_window is not None:
-                    windows.append((-degree_window, degree_window))
-                else:
-                    windows.append(_degree_window_for(g, s, supp, v))
             for d in _bounded_sums(windows, degsum):
                 full_d = [0] * g.n
                 for v, dv in zip(verts, d):
@@ -458,7 +455,7 @@ def _degree_window_for(g: DualGraph, s: VStability, supp: int, v: int) -> tuple[
         )
     else:
         hi_chi = lo_chi
-    loops = sum(1 for (a, b) in g.edges if a == b == v)
+    loops = g.internal_edge_count(vmask)
     return lo_chi + g.genera[v] - 1, hi_chi + g.genera[v] - 1 + loops
 
 

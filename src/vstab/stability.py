@@ -217,35 +217,43 @@ class VStability:
 
     @cached_property
     def extended_values(self) -> list[int]:
-        """The extended V-function per subcurve mask; see
-        :func:`extended_value_table`."""
-        table = [0] * (self.graph.full_mask + 1)
-        for Y in range(1, len(table)):
-            table[Y] = self.extended_value(Y)
+        """The extended V-function per subcurve mask (index = mask; 0 on
+        the empty subcurve), filled in one pass in ascending mask order; see
+        :func:`extended_value_table`.
+
+        A biconnected subcurve keeps its stored value and the whole curve
+        gets chi.  Any other connected Y gets chi minus, over each piece Z
+        of its complement, the value of Z less one unless Z is degenerate.
+        Each such Z is biconnected: its complement is Y with the other
+        pieces, and each piece meets Y because the curve is connected.  A
+        disconnected Y gets the sum over its pieces, smaller masks that are
+        already filled.
+        """
+        g = self.graph
+        full = g.full_mask
+        table, degenerate = self._value_tables()
+        bcon = g.bcon_index
+        con = g._connected_set
+        for Y in range(1, full + 1):
+            if Y in bcon:
+                continue
+            if Y == full:
+                table[Y] = self.chi
+            elif Y in con:
+                table[Y] = self.chi - sum(
+                    table[Z] - 1 + degenerate[Z]
+                    for Z in g.connected_components(full ^ Y)
+                )
+            else:
+                table[Y] = sum(table[W] for W in g.connected_components(Y))
         return table
 
     def extended_value(self, Y: int) -> int:
-        """Value of the extended V-function on any nonempty subcurve.
-
-        Computed on demand from the stored biconnected values.
-        """
+        """Value of the extended V-function on any nonempty subcurve, read
+        from :attr:`extended_values`; validity is not required."""
         if Y == 0:
             raise EmptySubcurve("the extended V-function needs a nonempty subcurve")
-        g = self.graph
-        idx = g.bcon_index.get(Y)
-        if idx is not None:
-            return self.values[idx]
-        if Y == g.full_mask:
-            return self.chi
-        pieces = g.connected_components(Y)
-        if len(pieces) > 1:
-            return sum(self.extended_value(W) for W in pieces)
-        total = self.chi
-        for Z in g.connected_components(g.complement(Y)):
-            total -= self.value(Z)
-            if not self.is_degenerate(Z):
-                total += 1
-        return total
+        return self.extended_values[Y]
 
     # -- restriction and pullback ---------------------------------------------
 

@@ -96,6 +96,8 @@ POOL_N4 = POOL_SMALL + [star4, path4, cycle4, k4]
 POOL_N5 = POOL_N4 + [cycle5]
 # the graph ladder of the benchmark
 LADDER = [banana, k4, cycle5, k5, cycle6, k4_plus_path2]
+# the graphs whose subcurve tables are checked against the oracles
+TABLE_POOL = list(dict.fromkeys(POOL_N4 + LADDER + [genus_decorated]))
 
 
 @pytest.fixture
@@ -200,6 +202,61 @@ def oracle_biconnected(g: DualGraph) -> list[int]:
         if oracle_connected(g, sub) and oracle_connected(g, full - sub):
             out.append(mask)
     return out
+
+
+def oracle_twist_deltas(g: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """Per mask, the chip-firing degree change of the twist, counted edge
+    by edge: a member gains its edges to the outside, a non-member loses
+    its edges into the mask."""
+    mult = g.multiplicity
+    n = g.n
+    out = []
+    for Y in range(g.full_mask + 1):
+        delta = [0] * n
+        for v in range(n):
+            if (Y >> v) & 1:
+                delta[v] = sum(
+                    mult[v][w] for w in range(n)
+                    if w != v and not (Y >> w) & 1
+                )
+            else:
+                delta[v] = -sum(
+                    mult[v][w] for w in range(n)
+                    if w != v and (Y >> w) & 1
+                )
+        out.append(tuple(delta))
+    return tuple(out)
+
+
+def oracle_line_chi_base(g: DualGraph) -> tuple[int, ...]:
+    """Per mask, chi of the degree-0 line bundle: one minus the genus per
+    component, minus the internal edges, summed mask by mask."""
+    base = [0] * (g.full_mask + 1)
+    for mask in range(1, g.full_mask + 1):
+        base[mask] = sum(
+            1 - g.genera[v] for v in vertices_of(mask)
+        ) - len(g.internal_edges(mask))
+    return tuple(base)
+
+
+def oracle_extended_value(s, Y: int) -> int:
+    """The extended V-function on a nonempty subcurve, by recursion over
+    its connected pieces."""
+    g = s.graph
+    idx = g.bcon_index.get(Y)
+    if idx is not None:
+        return s.values[idx]
+    if Y == g.full_mask:
+        return s.chi
+    pieces = g.connected_components(Y)
+    if len(pieces) > 1:
+        return sum(oracle_extended_value(s, W) for W in pieces)
+    total = s.chi
+    for Z in g.connected_components(g.complement(Y)):
+        total -= s.value(Z)
+        if not s.is_degenerate(Z):
+            total += 1
+    return total
 
 
 def oracle_deg_symmetry_key(g: DualGraph, members) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from vstab.serialize import (
     stability_to_json,
 )
 
-from conftest import banana, k4, k5, triangle
+from conftest import banana, cycle5, k4, k5, triangle
 
 HUGE = 10 ** 30     # a vertex index whose mask bit would not fit in memory
 
@@ -436,17 +436,26 @@ class TestWindowAndBounds:
         assert captured.out == ""
         assert "--window" in captured.err and str(cli.MAX_WINDOW_WORK) in captured.err
 
-    @pytest.mark.parametrize("supports, work", [([], 4 * 7), (["--all-supports"], 4 * 9)])
+    @pytest.mark.parametrize("supports, work", [([], 4 * 7), (["--all-supports"], 2 + 4 * 7)])
     @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 2)])
     def test_window_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
                                         supports, work, slack, code):
         # the banana at W = 3: 2**2 node sets times 7 degree vectors on the
-        # full support, and (8**2 - 1) / 7 = 9 over all supports
+        # full support, plus one of each on the two single components
         graph, stability = banana_files
         monkeypatch.setattr(cli, "MAX_WINDOW_WORK", work + slack)
         assert main(["semistable", "--graph", graph, "--stability", stability({1: 0, 2: 0}),
                      "--window", "3", *supports]) == code
         assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_window_budget_charges_each_support_its_own_edges(self):
+        # C5 at W = 3: 2**5 * 7**4 on the full support; a proper support of
+        # k vertices with e cycle edges inside adds 2**e * 7**(k-1), which
+        # sums to 5 + 105 + 1470 + 13720 over k = 1 to 4
+        g = cycle5()
+        assert cli._window_work(g, 3, False) == 76_832
+        assert cli._window_work(g, 3, True) == 76_832 + 5 + 105 + 1470 + 13_720
+        assert cli._window_work(g, 3, True) <= cli.MAX_WINDOW_WORK
 
     @pytest.mark.parametrize("flag, bound", [
         pytest.param("--max-vertices", "0", id="0"),

@@ -8,6 +8,7 @@ from vstab.graphs import vertices_of
 
 from conftest import (
     POOL_N4,
+    TABLE_POOL,
     banana,
     genus_decorated,
     k4,
@@ -16,6 +17,8 @@ from conftest import (
     oracle_component_count,
     oracle_fibers,
     oracle_genus,
+    oracle_line_chi_base,
+    oracle_twist_deltas,
     path3,
     triangle,
 )
@@ -143,6 +146,25 @@ class TestEdgeCounts:
             tree = g.spanning_tree
             for _, child in zip(tree.edges, tree.child_masks):
                 assert tree.valence(child) == 1
+
+
+class TestSubcurveTables:
+    """The subset-sum tables against the per-mask counts they replaced."""
+
+    @pytest.mark.parametrize("make", TABLE_POOL, ids=lambda f: f.__name__)
+    def test_tables_match_oracles(self, make):
+        g = make()
+        assert g.twist_deltas == oracle_twist_deltas(g)
+        assert g.line_chi_base == oracle_line_chi_base(g)
+        bcon = set(oracle_biconnected(g))
+        for Y in range(1, g.full_mask + 1):
+            assert g.biconnected_within(Y) == tuple(
+                Z for Z in range(1, Y)
+                if Z & Y == Z
+                and oracle_connected(g, set(vertices_of(Z)))
+                and oracle_connected(g, set(vertices_of(Y ^ Z)))
+            )
+        assert g.biconnected_within(g.full_mask) == tuple(sorted(bcon))
 
 
 class TestGenus:

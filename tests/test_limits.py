@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,13 @@ class TestOrbit:
 
     def test_degree_mismatch(self):
         assert same_orbit(banana(), (1, 0), (0, 0)) == (False, None)
+
+    def test_huge_witness_checked_in_one_product(self):
+        # the witness is checked as d2 + L w == d1, not replayed as 10**9
+        # single-component twists
+        start = time.process_time()
+        assert same_orbit(banana(), (2 * 10**9, -2 * 10**9), (0, 0)) == (True, (10**9, 0))
+        assert time.process_time() - start < 1
 
     def test_orbit_counts_banana(self):
         # the two-cycle lattice has index 2 at each total degree

@@ -13,6 +13,7 @@ from vstab.errors import MoveNotApplicable, NotAPartialOrder
 from vstab.graphenum import connected_multigraphs
 from vstab.graphs import mask_of, vertices_of
 from vstab.posets import (
+    _all_maximal_chains_equal,
     _count_decompositions,
     _pair_search,
     check_deg_witness,
@@ -650,6 +651,28 @@ def test_symmetry_key_matches_permute_mask_oracle(make):
     g = make()
     for d in enumerate_degeneracy_subsets(g):
         assert deg_symmetry_key(g, d.members) == oracle_deg_symmetry_key(g, d.members)
+
+
+class TestChainSweeps:
+    def test_boolean_lattice_is_ranked(self):
+        # subsets of {a, b, c} by size: 0 is the empty set, 1-3 the
+        # singletons, 4-6 the pairs ab, ac, bc, 7 the whole set
+        covers = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6),
+                  (3, 5), (3, 6), (4, 7), (5, 7), (6, 7)]
+        assert _all_maximal_chains_equal(8, covers) == (True, 3)
+
+    def test_pentagon_is_not_ranked(self):
+        # 0 < 1 < 2 < 4 and 0 < 3 < 4: maximal chains of 3 and 2 covers
+        covers = [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]
+        assert _all_maximal_chains_equal(5, covers) == (False, None)
+
+    def test_chains_of_different_lengths_are_not_ranked(self):
+        # each component is a chain, one of 1 cover and one of 2
+        assert _all_maximal_chains_equal(5, [(0, 1), (2, 3), (3, 4)]) == (False, None)
+
+    def test_downward_cover_refused(self):
+        with pytest.raises(ValueError):
+            _all_maximal_chains_equal(2, [(1, 0)])
 
 
 class TestScan:

@@ -12,8 +12,10 @@ from vstab.stability import DegeneracySet
 
 from conftest import (
     LADDER,
+    TABLE_POOL,
     banana,
     k4,
+    oracle_extended_value,
     oracle_validate,
     oracle_validate_via_union,
     path3,
@@ -184,6 +186,22 @@ class TestExtended:
         s = make(banana(), 0, {1: 0, 2: 0})
         with pytest.raises(EmptySubcurve):
             s.extended_value(0)
+
+    @pytest.mark.parametrize("make", TABLE_POOL, ids=lambda f: f.__name__)
+    def test_table_matches_recursive_oracle(self, make):
+        # every window stability, and one invalid stability wherever there
+        # is a biconnected subcurve to carry it
+        g = make()
+        stabs = enumerate_window_stabilities(g)
+        if g.biconnected_subcurves:
+            bad = VStability(g, 0, tuple(range(1, len(g.biconnected_subcurves) + 1)))
+            assert not bad.is_valid
+            stabs.append(bad)
+        for s in stabs:
+            assert s.extended_values[0] == 0
+            assert s.extended_values[1:] == [
+                oracle_extended_value(s, Y) for Y in range(1, g.full_mask + 1)
+            ]
 
     def test_extended_degeneracy_banana(self):
         s = make(banana(), 0, {1: 0, 2: 0})
