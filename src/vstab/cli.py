@@ -51,17 +51,19 @@ MAX_SYMMETRY_VERTICES = 8
 # entries: a translated stability shifts betas like degrees, so (0, 0) on a
 # banana with values (10**9, -10**9) has deficit 10**9 - 1.  D may not
 # exceed MAX_LIMIT_DEGREE, nor D * 4**n exceed MAX_LIMIT_WORK: the walk
-# takes of order D twists, and each step of the monotone expansion tries
-# 2**n twists over 2**n betas.  So D <= 5000 for n <= 5, 1250 for n = 6,
-# 312 for n = 7 and 78 for n = 8.  At the bound, the slowest of three
-# start patterns (+k on vertex 0, -k on vertex n - 1, n // 2 or 1) on
-# sampled orbit stabilities (every 7th on C5, every 50th on K5 and C6,
-# every 8th on K4 with a 2-path, every 300th on C7) took (CPU time,
-# process peak RSS; Python 3.11.7, one core of a 2-vCPU box): C5 1.7 s
-# and 46 MB, K5 0.1 s and 29 MB, C6 1.9 s and 35 MB, K4 with a 2-path
-# 1.3-2.0 s and 48 MB, C7 1.8-2.2 s and 34 MB; C8 1.1 s on one general
-# stability.  Larger n was not measured; the bound keeps shrinking
-# fourfold per component.
+# takes of order D twists, each step of the monotone expansion tries 2**n
+# twists over 2**n betas, and both candidate orders read the 4**n table
+# DualGraph.subset_sum_shifts, built on every call.  So D <= 5000 for
+# n <= 5, 1250 for n = 6, 312 for n = 7 and 78 for n = 8.  At the bound,
+# the slowest of three start patterns (+k on vertex 0 and -k on vertex
+# n - 1, n // 2 or 1, k the largest within the bound) on sampled orbit
+# stabilities (every 7th on C5, every 50th on K5 and C6, every 8th on K4
+# with a 2-path, every 300th on C7) took (CPU time, process peak RSS with
+# the orbit enumeration; Python 3.11.7, one core of a 2-vCPU box): C5
+# 1.2 s and 37 MB, K5 0.06 s and 21 MB, C6 1.1 s and 26 MB, K4 with a
+# 2-path 1.2 s and 35 MB, C7 0.9 s and 23 MB; C8 0.5 s and 18 MB on one
+# general stability.  Larger n was not measured; the bound keeps
+# shrinking fourfold per component.
 MAX_LIMIT_DEGREE = 5000
 MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainMismatch, EmptySubcurve, OverlappingSubcurves
 
@@ -35,6 +36,17 @@ def vertices_of(mask: int) -> list[int]:
         mask >>= 1
         v += 1
     return out
+
+
+def exact_ints(values, what: str, error=TypeError) -> tuple[int, ...]:
+    """``values`` as a tuple of exact integers: each entry an ``int`` itself,
+    not a ``bool``, a float or any other type, which would be converted
+    silently by ``int``.  Anything else raises ``error`` naming ``what``."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise error(f"{what} must be an int, got {bad!r}")
+    return values
 
 
 def mask_of(vertices) -> int:
@@ -309,6 +321,29 @@ class DualGraph:
         """Per twist subcurve Y and per mask: the change of the degree sum
         over the mask under the twist by Y."""
         return tuple(tuple(subset_sums(delta)) for delta in self.twist_deltas)
+
+    @cached_property
+    def reduced_laplacian_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(k, A): the inverse of the Laplacian with its last row and column
+        deleted is A / k, with A an integer matrix and k the least common
+        denominator of its entries.  The reduced Laplacian of a connected
+        graph is invertible, and its determinant, the number of spanning
+        trees, is a multiple of k.  Its columns are solved one unit vector
+        at a time by :func:`solve_equalities`; one component gives (1, ())."""
+        m = self.n - 1
+        rows = [self.twist_deltas[1 << v][:m] for v in range(m)]
+        cols = []
+        for j in range(m):
+            pivots, _ = solve_equalities(
+                [(row, int(i == j)) for i, row in enumerate(rows)], m
+            )
+            cols.append([Fraction(pivots[i][2], pivots[i][0]) for i in range(m)])
+        k = lcm(*(x.denominator for col in cols for x in col))
+        A = tuple(
+            tuple(col[i].numerator * (k // col[i].denominator) for col in cols)
+            for i in range(m)
+        )
+        return k, A
 
     @cached_property
     def line_chi_base(self) -> tuple[int, ...]:

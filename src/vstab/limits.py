@@ -4,8 +4,8 @@ Twisting the family by a subcurve of the special fiber changes the
 multidegree by chip-firing: the twisted subcurve gains one for every edge
 to its complement, the outside loses correspondingly, and the total
 degree is conserved.  The orbit of this action is the image of the graph
-Laplacian lattice; membership is decided by exact fraction-free
-elimination.
+Laplacian lattice; membership is decided by the inverse of the reduced
+Laplacian, tabulated once per graph.
 
 The limit algorithm repeatedly twists by the stabilized union of maximal
 minimizers of the beta function (chi of the restriction minus the
@@ -16,22 +16,29 @@ subcurve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter, mul, sub
 
 from .errors import DomainMismatch, NonTermination
-from .graphs import DualGraph, solve_equalities, vertices_of
+from .graphs import DualGraph, exact_ints, vertices_of
 from .stability import VStability, extended_value_table
 
 Multidegree = tuple[int, ...]
+
+
+def _multidegree(g: DualGraph, d) -> Multidegree:
+    """d as a tuple of exact ints (:func:`vstab.graphs.exact_ints`), one
+    per component of g."""
+    d = exact_ints(d, "a multidegree entry")
+    if len(d) != g.n:
+        raise DomainMismatch("one degree per component required")
+    return d
 
 
 def twist(g: DualGraph, d, Y: int) -> Multidegree:
     """Chip-firing twist by a subcurve: degree rises on Y by its outward
     valence, falls outside accordingly.  Twisting by the whole curve or by
     nothing is the identity."""
-    if len(d) != g.n:
-        raise DomainMismatch("one degree per component required")
-    delta = g.twist_deltas[Y]
-    return tuple(int(a) + b for a, b in zip(d, delta))
+    return tuple(map(add, _multidegree(g, d), g.twist_deltas[Y]))
 
 
 def line_bundle_chi(g: DualGraph, d, Z: int) -> int:
@@ -49,8 +56,8 @@ def beta_deficit(d, s: VStability) -> int:
     """Minus the least beta over all subcurves (the empty one's is 0): both
     candidate orders of ``esteves_limit`` from d keep every beta at least
     minus it."""
-    if len(d) != s.graph.n:
-        raise DomainMismatch("one degree per component required")
+    d = _multidegree(s.graph, d)
+    s._require_valid()
     return -min(_beta_all(s.graph, d, extended_value_table(s)))
 
 
@@ -82,30 +89,43 @@ def twisting_subcurve(d, s: VStability, start: int = None) -> int:
     other starting minimizers in that case.
     """
     g = s.graph
-    ext = extended_value_table(s)
-    betas0 = _beta_all(g, d, ext)
+    d = _multidegree(g, d)
+    s._require_valid()
+    betas0 = _beta_all(g, d, extended_value_table(s))
     m0 = min(betas0)
     if start is None:
-        start = _max_minimizer([Z for Z, b in enumerate(betas0) if b == m0])
+        start = _max_minimizer(_minimizers(betas0, m0))
     elif betas0[start] != m0:
         raise ValueError("the starting subcurve must realize the beta minimum")
-    return _grow(g, ext, d, m0, start)[0]
+    return _grow(g, betas0, m0, start)[0]
 
 
-def _grow(g: DualGraph, ext, d, m0: int, Y: int):
+def _grow(g: DualGraph, betas0, m0: int, Y: int):
     """The growth iteration of ``twisting_subcurve`` from the minimizer Y of
-    d's betas (minimum m0); returns the union with d twisted by it and the
-    betas there."""
+    the betas ``betas0`` of a multidegree d (minimum m0); returns the union
+    and the betas of d twisted by it.  Beta is linear in the multidegree,
+    so twisting by Y adds the row ``subset_sum_shifts[Y]``."""
+    shifts = g.subset_sum_shifts
     while True:
-        dk = twist(g, d, Y)
-        betas = _beta_all(g, dk, ext)
+        betas = list(map(add, betas0, shifts[Y]))
         mk = min(betas)
         if mk > m0:
-            return Y, dk, betas
-        growers = [Z for Z, b in enumerate(betas) if b == mk and Z & ~Y]
+            return Y, betas
+        growers = [Z for Z in _minimizers(betas, mk) if Z & ~Y]
         if not growers:
-            return Y, dk, betas
+            return Y, betas
         Y |= _max_minimizer(growers)
+
+
+def _minimizers(betas, m: int) -> list[int]:
+    """The subcurves whose beta equals m, ascending; found by the list's own
+    search, since there are few of them."""
+    out = []
+    Z = -1
+    for _ in range(betas.count(m)):
+        Z = betas.index(m, Z + 1)
+        out.append(Z)
+    return out
 
 
 def _max_minimizer(minimizers: list[int]) -> int:
@@ -120,8 +140,7 @@ def _max_minimizer(minimizers: list[int]) -> int:
 def _minimizer_starts(betas: list[int]) -> list[int]:
     """Starting candidates for the growth iteration: the default maximal
     choice first, then every other minimizer, small ones early."""
-    m = min(betas)
-    minimizers = [Z for Z, b in enumerate(betas) if b == m]
+    minimizers = _minimizers(betas, min(betas))
     first = _max_minimizer(minimizers)
     rest = sorted(
         (Z for Z in minimizers if Z != first),
@@ -130,7 +149,7 @@ def _minimizer_starts(betas: list[int]) -> list[int]:
     return [first] + rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitStep:
     subcurve: int
     beta_min: int
@@ -138,7 +157,7 @@ class LimitStep:
     lemma_step: bool = True      # full post-twist inequality (strict off Y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitTrace:
     start: Multidegree
     steps: tuple[LimitStep, ...]
@@ -185,24 +204,27 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     bounded above too.  Each walk therefore ranges over a finite set of
     multidegrees and enters none twice.  NonTermination is raised only
     when the monotone walk exhausts that set without a semistable point,
-    which has never been observed.
+    which has never been observed.  The argument needs a valid stability,
+    so an invalid one raises InvalidStability before the walk.
+
+    Beta is tabulated over every subcurve once, at d0.  It is linear in
+    the multidegree, so each later node's betas are its parent's plus the
+    row ``subset_sum_shifts[Y]`` of the twist.  Both orders read that
+    table, so every call builds it: 4^n entries, 4096 at n = 6, which
+    ``cli.MAX_LIMIT_WORK`` charges for through D * 4^n.
     """
     g = s.graph
-    d0 = tuple(int(x) for x in d0)
-    if len(d0) != g.n:
-        raise DomainMismatch("one degree per component required")
+    d0 = _multidegree(g, d0)
+    s._require_valid()
     if line_bundle_chi(g, d0, g.full_mask) != s.chi:
         raise DomainMismatch(
             "total degree inconsistent with the stability characteristic"
         )
-    ext = extended_value_table(s)
     bcon = g.biconnected_subcurves
     full = g.full_mask
+    deltas = g.twist_deltas
     shifts = g.subset_sum_shifts
     total = sum(d0)
-
-    def semistable(betas):
-        return all(betas[Z] >= 0 for Z in bcon)
 
     def lemma_twists(d, betas):
         """One twist per distinct stabilized union, in the order of the
@@ -210,27 +232,40 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
         m = min(betas)
         tried = set()
         for start in _minimizer_starts(betas):
-            Y, d2, nb = _grow(g, ext, d, m, start)
+            Y, nb = _grow(g, betas, m, start)
             if Y != full and Y not in tried:
                 tried.add(Y)
-                yield Y, m, d2, nb
+                yield Y, m, tuple(map(add, d, deltas[Y])), nb
 
     def monotone_twists(d, betas):
         """Every proper twist keeping the minimum beta, by (badness, Y);
         only the key is kept, the betas are rebuilt when yielded."""
         m = min(betas)
+        minimizers = _minimizers(betas, m)
+        on_bcon = bcon_entries(betas)
         order = []
         for Y in range(1, full):
-            nb = [b + sh for b, sh in zip(betas, shifts[Y])]
-            if min(nb) >= m:
-                order.append((-sum(nb[Z] for Z in bcon if nb[Z] < 0), Y))
+            row = shifts[Y]
+            # lowering beta on a minimizer lowers the minimum: the cheap test
+            if min(map(row.__getitem__, minimizers)) < 0:
+                continue
+            if min(map(add, betas, row)) < m:
+                continue
+            nb = map(add, on_bcon, bcon_entries(row))
+            order.append((-sum([b for b in nb if b < 0]), Y))
         order.sort()
         for _, Y in order:
-            yield Y, m, twist(g, d, Y), [b + sh for b, sh in zip(betas, shifts[Y])]
+            yield Y, m, tuple(map(add, d, deltas[Y])), list(map(add, betas, shifts[Y]))
 
-    betas0 = _beta_all(g, d0, ext)
+    def semistable(betas):
+        return all(betas[Z] >= 0 for Z in bcon)
+
+    betas0 = _beta_all(g, d0, extended_value_table(s))
     if semistable(betas0):
         return d0, LimitTrace(d0, (), d0)
+    # an unstable start has biconnected subcurves, at least two, as they
+    # come in complementary pairs, so this returns the tuple of entries there
+    bcon_entries = itemgetter(*bcon)
     for twists in (lemma_twists, monotone_twists):
         visited = {d0}
         # the walk from d0: per node, the step into it and its candidates
@@ -259,10 +294,10 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
 def _post_twist_holds(betas, old_min: int, Y: int) -> bool:
     """The lemma's post-twist inequality for the betas after twisting by Y:
     at least the previous minimum on every nonempty subcurve, strictly
-    above it off Y."""
-    return all(
-        betas[Z] > old_min or (betas[Z] == old_min and not Z & ~Y)
-        for Z in range(1, len(betas))
+    above it off Y.  The empty subcurve's beta is 0, at least any previous
+    minimum, and lies inside Y, so it may be tested with the rest."""
+    return min(betas) >= old_min and not any(
+        Z & ~Y for Z in _minimizers(betas, old_min)
     )
 
 
@@ -279,33 +314,29 @@ def same_orbit(g: DualGraph, d1, d2):
     """Whether two multidegrees differ by chip-firing twists.
 
     Twist vectors of single components span the image of the graph
-    Laplacian (modulo the all-ones relation); membership is decided by
-    exact integer elimination.  Returns (flag, witness) with the witness a
-    twist multiplicity vector normalized to minimum entry zero; it is
-    checked as d2 + L w == d1, so the check does not grow with w.
+    Laplacian (modulo the all-ones relation).  The difference sums to zero,
+    and the kernel of a connected Laplacian is the constants, so its one
+    solution x with x_last = 0 is the reduced Laplacian's inverse A / k
+    (``DualGraph.reduced_laplacian_inverse``) applied to the difference;
+    an integer solution exists iff A times the difference is 0 mod k.
+    Returns (flag, witness) with the witness x shifted to minimum entry
+    zero; it is checked as d2 + L w == d1, so the check does not grow with
+    w.
     """
-    d1 = tuple(int(x) for x in d1)
-    d2 = tuple(int(x) for x in d2)
-    if len(d1) != g.n or len(d2) != g.n:
-        raise DomainMismatch("one degree per component required")
+    d1 = _multidegree(g, d1)
+    d2 = _multidegree(g, d2)
     if sum(d1) != sum(d2):
         return False, None
-    diff = [a - b for a, b in zip(d1, d2)]
-    # diff sums to zero, so L x = diff is solvable over the rationals; the
-    # kernel of a connected Laplacian is the constants, so setting the free
-    # variable to zero leaves one rational solution, and some integer
-    # solution exists iff every pivot value r / D is an integer
-    L = laplacian(g)
-    pivots, _ = solve_equalities(list(zip(L, diff)), g.n)
-    x = [0] * g.n
-    for p, (D, _, r) in pivots.items():
-        if r % D:
-            return False, None
-        x[p] = r // D
+    diff = tuple(map(sub, d1, d2))
+    k, A = g.reduced_laplacian_inverse
+    x = [sum(map(mul, row, diff)) for row in A]
+    if any(v % k for v in x):
+        return False, None
+    x = [v // k for v in x] + [0]
     shift = min(x)
     witness = tuple(v - shift for v in x)
     applied = tuple(
-        b + sum(a * w for a, w in zip(row, witness)) for b, row in zip(d2, L)
+        b + sum(map(mul, row, witness)) for b, row in zip(d2, laplacian(g))
     )
     if applied != d1:
         raise AssertionError("orbit witness failed to reproduce the difference")

@@ -23,15 +23,13 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InvalidPolarization, InvalidStability
-from .graphs import DualGraph, solve_equalities, subset_sums, vertices_of
+from .graphs import DualGraph, exact_ints, solve_equalities, subset_sums, vertices_of
 from .stability import VStability
 
 
 def _integer(x, what: str) -> int:
-    """An exact integer input: an ``int`` that is not a ``bool``."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidPolarization(f"{what} must be an int, got {x!r}")
-    return x
+    """An exact integer input (see :func:`vstab.graphs.exact_ints`)."""
+    return exact_ints((x,), what, InvalidPolarization)[0]
 
 
 def _rational(x, what: str) -> Fraction:
@@ -75,7 +73,7 @@ class NumericalPolarization:
         return VStability(g, self.chi, values)
 
     def translated(self, tau) -> "NumericalPolarization":
-        tau = tuple(_integer(t, "a translation entry") for t in tau)
+        tau = exact_ints(tau, "a translation entry", InvalidPolarization)
         psi = tuple(p + t for p, t in zip(self.psi, tau))
         return NumericalPolarization(self.graph, self.chi + sum(tau), psi)
 
@@ -89,7 +87,7 @@ def from_ample(graph: DualGraph, degrees, chi: int) -> NumericalPolarization:
     """Slope polarization of an ample class: psi_v = deg_v * chi / total.
     An ample class has positive degree on every component."""
     chi = _integer(chi, "chi")
-    degrees = tuple(_integer(d, "a degree") for d in degrees)
+    degrees = exact_ints(degrees, "a degree", InvalidPolarization)
     if len(degrees) != graph.n:
         raise InvalidPolarization("one degree per component required")
     if any(d <= 0 for d in degrees):

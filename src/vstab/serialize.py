@@ -5,8 +5,9 @@ Stability:     {"chi": c, "values": [{"subcurve": [v, ...], "s": k}, ...]}
 Polarization:  {"chi": c, "psi": [["num", "den"], ...]}
 Sheaf:         {"support": [v, ...], "multidegree": {"v": d, ...},
                 "nonfree": [edge_index, ...]}
-Trace:         {"steps": [{"Y": [...], "beta_min": m, "d": [...]}, ...],
-                "result": [...]}
+Trace:         {"start": [...], "steps": [{"Y": [...], "beta_min": m,
+                "d": [...], "lemma_step": true}, ...], "result": [...],
+                "used_fallback": false}
 Hasse:         {"elements": [...], "covers": [[lower, upper], ...]}
 
 Vertices are 0-based, loops appear as [v, v], edge indices point into the
@@ -34,7 +35,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainMismatch, InvalidPolarization
-from .graphs import DualGraph, vertices_of
+from .graphs import DualGraph, exact_ints, vertices_of
 from .limits import LimitTrace
 from .polarization import NumericalPolarization
 from .posets import HasseDiagram
@@ -58,9 +59,7 @@ _INTEGER = re.compile("-?[0-9]+")
 
 def _int(x, what: str) -> int:
     """A JSON integer, never a bool, float or string coerced to one."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"{what} must be an integer, got {x!r}")
-    return x
+    return exact_ints((x,), what, SchemaError)[0]
 
 
 def int_token(text: str, what: str) -> int:
@@ -219,10 +218,12 @@ def trace_to_json(trace: LimitTrace) -> dict:
                 "Y": vertices_of(step.subcurve),
                 "beta_min": step.beta_min,
                 "d": list(step.multidegree),
+                "lemma_step": step.lemma_step,
             }
             for step in trace.steps
         ],
         "result": list(trace.result),
+        "used_fallback": trace.used_fallback,
     }
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotPolystable,
     NotSemistable,
 )
-from .graphs import DualGraph, adjacency_masks, components, vertices_of
+from .graphs import DualGraph, adjacency_masks, components, exact_ints, vertices_of
 from .limits import line_bundle_chi
 from .stability import VStability
 
@@ -49,13 +49,14 @@ class SheafData:
             raise EmptySubcurve("a sheaf needs a nonempty support")
         if self.support & ~g.full_mask:
             raise DomainMismatch("support is not a subcurve mask")
-        d = tuple(int(x) for x in self.multidegree)
+        d = exact_ints(self.multidegree, "a multidegree entry")
         if len(d) != g.n:
             raise DomainMismatch("one degree entry per component required")
         if any(d[v] != 0 for v in range(g.n) if not (self.support >> v) & 1):
             raise ValueError("degrees outside the support must be zero")
         object.__setattr__(self, "multidegree", d)
-        object.__setattr__(self, "nonfree", frozenset(int(e) for e in self.nonfree))
+        nonfree = frozenset(exact_ints(self.nonfree, "a nonfree edge index"))
+        object.__setattr__(self, "nonfree", nonfree)
         internal = set(g.internal_edges(self.support))
         if not self.nonfree <= internal:
             raise ValueError("non-free nodes must be internal to the support")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
-from .graphs import Contraction, DualGraph, subset_sums, vertices_of
+from .graphs import Contraction, DualGraph, exact_ints, subset_sums, vertices_of
 
 
 # allowed triple sums minus chi, by the number of degenerate members
@@ -52,11 +52,13 @@ class VStability:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.graph.biconnected_subcurves):
+        exact_ints((self.chi,), "chi")
+        values = exact_ints(self.values, "a stability value")
+        if len(values) != len(self.graph.biconnected_subcurves):
             raise DomainMismatch(
                 "values must be aligned with the biconnected subcurves"
             )
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dict(cls, graph: DualGraph, chi: int, mapping: dict[int, int]) -> "VStability":
@@ -284,7 +286,7 @@ def translate(s: VStability, tau) -> VStability:
     """Shift by an integer vector: adds the tau-sum over each subcurve and
     moves the characteristic by the total."""
     g = s.graph
-    tau = tuple(int(t) for t in tau)
+    tau = exact_ints(tau, "a translation entry")
     if len(tau) != g.n:
         raise ValueError("one integer per component required")
     sums = subset_sums(tau)

@@ -13,7 +13,8 @@ from math import gcd
 import pytest
 
 from vstab import DualGraph
-from vstab.graphs import permute_mask, vertices_of
+from vstab.graphs import permute_mask, solve_equalities, vertices_of
+from vstab.limits import laplacian
 from vstab.stability import ValidationReport, Violation
 
 
@@ -567,3 +568,21 @@ def oracle_solve_integer(A, b):
         if sum(H[r][j] * w[j] for j in range(n)) != b[r]:
             return None
     return [sum(C[i][j] * w[j] for j in range(n)) for i in range(n)]
+
+
+def oracle_same_orbit_elimination(g: DualGraph, d1, d2):
+    """``same_orbit``'s (flag, witness) by the fraction-free elimination
+    that decided chip-firing orbits before the per-graph inverse table:
+    L x = d1 - d2 through ``graphs.solve_equalities``, the free variable
+    (the last; the kernel is the constants) set to zero; an integer
+    solution exists iff every pivot value r / D is an integer."""
+    if sum(d1) != sum(d2):
+        return False, None
+    diff = [a - b for a, b in zip(d1, d2)]
+    pivots, _ = solve_equalities(list(zip(laplacian(g), diff)), g.n)
+    x = [0] * g.n
+    for p, (D, _, r) in pivots.items():
+        if r % D:
+            return False, None
+        x[p] = r // D
+    return True, tuple(v - min(x) for v in x)

@@ -264,7 +264,24 @@ class TestVerdictCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == [1, -1]
-        assert doc["steps"][0] == {"Y": [1], "beta_min": -4, "d": [3, -3]}
+        assert doc["steps"][0] == {"Y": [1], "beta_min": -4, "d": [3, -3], "lemma_step": True}
+        assert doc["used_fallback"] is False
+
+    def test_limit_trace_shows_fallback_steps(self, tmp_path, capsys):
+        # the stalled C5 instance of criterion 09's literal-iteration xfail:
+        # its first step comes from the monotone expansion
+        g = cycle5()
+        values = (-1, 0, -1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1)
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        stability = tmp_path / "stability.json"
+        stability.write_text(json.dumps(stability_to_json(VStability(g, 0, values))))
+        assert main(["limit", "--graph", str(graph), "--stability", str(stability),
+                     "--multidegree=-1,-2,1,0,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["used_fallback"] is True
+        assert [step["lemma_step"] for step in doc["steps"]] == [False, True]
+        assert doc["result"] == [-1, 0, 1, -1, 1]
 
     def test_long_limit_walk(self, banana_files, capsys):
         # 1500 twists, deeper than the interpreter's recursion limit

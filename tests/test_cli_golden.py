@@ -85,7 +85,7 @@ GOLDEN = {
     ('K4', 'classical'):
         (0, "0d4b67428474b4b53c49676d159f484d21c4e7a9b0dc95f162dc2633501d8c05"),
     ('K4', 'limit'):
-        (0, "c7b517fa716179f5ee9a9cfb2c4246e35d2ce8bc22cc21b3db16b27d866dbf9a"),
+        (0, "0b93590bfdd2f52203f847531aa40e284233272d1ea733ce9f05ee3b2e38444b"),
     ('K4', 'normal-form'):
         (0, "71a1a3cb81fc3d155da7ba8be54b600e8483c5b4c8999ae6534ca61e9bd9e490"),
     ('K4', 'poset-deg-dot'):
@@ -111,7 +111,7 @@ GOLDEN = {
     ('banana', 'classical'):
         (0, "9fb2c0a70d2a4f0bfb48ecd98275749a39bf4298d0fdfc2cdd347c94b8307481"),
     ('banana', 'limit'):
-        (0, "13e4a7f0ffc023af49dd0ff53259e325d563f5de308202282c0cf016e963c200"),
+        (0, "7a27ba46fb651bc2b73adfe029259cae34aaf2da224524e4c4050d771603b44e"),
     ('banana', 'normal-form'):
         (0, "c5b86c98e538f8907b1100dcb34489ddb694c2821bea3e98257c29f10e36c6f5"),
     ('banana', 'poset-deg-dot'):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from vstab.graphenum import connected_multigraphs
 from vstab.graphs import vertices_of
 
 from conftest import (
+    LADDER,
     POOL_N4,
     TABLE_POOL,
     banana,
@@ -18,6 +21,7 @@ from conftest import (
     oracle_fibers,
     oracle_genus,
     oracle_line_chi_base,
+    oracle_spanning_trees,
     oracle_twist_deltas,
     path3,
     triangle,
@@ -165,6 +169,31 @@ class TestSubcurveTables:
                 and oracle_connected(g, set(vertices_of(Y ^ Z)))
             )
         assert g.biconnected_within(g.full_mask) == tuple(sorted(bcon))
+
+    @pytest.mark.parametrize("make", TABLE_POOL, ids=lambda f: f.__name__)
+    def test_reduced_laplacian_inverse(self, make):
+        # A L0 = k I exactly, with k the least common denominator
+        g = make()
+        k, A = g.reduced_laplacian_inverse
+        m = g.n - 1
+        L0 = [oracle_twist_deltas(g)[1 << v][:m] for v in range(m)]
+        assert [
+            [sum(A[i][t] * L0[t][j] for t in range(m)) for j in range(m)]
+            for i in range(m)
+        ] == [[k * (i == j) for j in range(m)] for i in range(m)]
+        assert math.gcd(k, *(a for row in A for a in row)) == 1
+
+    def test_inverse_denominator_divides_tree_count(self):
+        # the reduced Laplacian's determinant is the number of spanning
+        # trees (matrix-tree theorem), and k divides it
+        pairs = [(g.reduced_laplacian_inverse[0], oracle_spanning_trees(g))
+                 for g in (make() for make in LADDER)]
+        assert pairs == [(2, 2), (4, 16), (5, 5), (5, 125), (6, 6), (4, 16)]
+        assert all(count % k == 0 for k, count in pairs)
+
+    @pytest.mark.parametrize("loops", [(), ((0, 0),)], ids=["bare", "loop"])
+    def test_one_component_inverse(self, loops):
+        assert DualGraph((1,), loops).reduced_laplacian_inverse == (1, ())
 
 
 class TestGenus:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstab import DualGraph, SheafData, VStability
-from vstab.errors import DomainMismatch
+from vstab.errors import DomainMismatch, InvalidStability
 from vstab.limits import (
     _beta_all,
     beta,
@@ -22,8 +22,9 @@ from vstab.sheaves import enumerate_semistable, is_semistable
 from vstab.stability import extended_value_table
 
 from conftest import (
-    LADDER, banana, cycle5, genus_decorated, k4, k4_plus_path2, oracle_solve_integer,
-    oracle_spanning_trees, path3, triangle,
+    LADDER, TABLE_POOL, banana, cycle5, genus_decorated, k4, k4_plus_path2,
+    oracle_same_orbit_elimination, oracle_solve_integer, oracle_spanning_trees, path3,
+    triangle,
 )
 
 
@@ -77,6 +78,20 @@ class TestBeta:
                 continue
             by_beta = all(beta(d, s, Z) >= 0 for Z in g.biconnected_subcurves)
             assert by_beta == is_semistable(SheafData.line_bundle(g, d), s)
+
+    @pytest.mark.parametrize("make", LADDER + [genus_decorated],
+                             ids=lambda f: f.__name__)
+    def test_twist_adds_the_shift_row(self, make):
+        # beta is linear in the multidegree, whatever the extended table,
+        # so the limit walk moves it by subset_sum_shifts[Y]
+        g = make()
+        rng = random.Random(f"shift:{make.__name__}")
+        ext = [0] + [rng.randint(-9, 9) for _ in range(g.full_mask)]
+        for Y in range(g.full_mask + 1):
+            d = tuple(rng.randint(-6, 6) for _ in range(g.n))
+            assert _beta_all(g, twist(g, d, Y), ext) == [
+                b + sh for b, sh in zip(_beta_all(g, d, ext), g.subset_sum_shifts[Y])
+            ]
 
     def test_deficit(self):
         s = s_banana_zero()
@@ -151,6 +166,15 @@ class TestLimit:
         with pytest.raises(DomainMismatch):
             esteves_limit((1, 0), s)
 
+    @pytest.mark.parametrize("call", [esteves_limit, beta_deficit, twisting_subcurve],
+                             ids=lambda f: f.__name__)
+    def test_invalid_stability_refused(self, call):
+        # values (5, 5) break the pair-sum rule; the walk used to exhaust both
+        # candidate orders from (3, -3) and raise NonTermination
+        s = VStability.from_dict(banana(), 0, {1: 5, 2: 5})
+        with pytest.raises(InvalidStability):
+            call((3, -3), s)
+
     @pytest.mark.parametrize("d0", [(1, -1, 5), (0,)], ids=["long", "short"])
     def test_wrong_length_rejected(self, d0):
         with pytest.raises(DomainMismatch, match="one degree per component"):
@@ -209,6 +233,29 @@ class TestOrbit:
         start = time.process_time()
         assert same_orbit(banana(), (2 * 10**9, -2 * 10**9), (0, 0)) == (True, (10**9, 0))
         assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("edges", [(), ((0, 0),)], ids=["bare", "loop"])
+    def test_one_component(self, edges):
+        g = DualGraph((1,), edges)
+        assert same_orbit(g, (4,), (4,)) == (True, (0,))
+        assert same_orbit(g, (4,), (3,)) == (False, None)
+
+    @pytest.mark.parametrize("make", TABLE_POOL, ids=lambda f: f.__name__)
+    def test_matches_the_elimination(self, make):
+        # the inverse table against the elimination it replaced, on one-
+        # orbit pairs (a random twist sequence apart) and random pairs
+        g = make()
+        rng = random.Random(f"elimination:{make.__name__}")
+        for k in range(40):
+            d2 = tuple(rng.randint(-5, 5) for _ in range(g.n))
+            if k % 2:
+                d1 = d2
+                for _ in range(rng.randint(1, 6)):
+                    d1 = twist(g, d1, rng.randint(0, g.full_mask))
+            else:
+                d1 = tuple(rng.randint(-5, 5) for _ in range(g.n - 1))
+                d1 += (sum(d2) - sum(d1),)
+            assert same_orbit(g, d1, d2) == oracle_same_orbit_elimination(g, d1, d2)
 
     def test_orbit_counts_banana(self):
         # the two-cycle lattice has index 2 at each total degree
@@ -311,3 +358,18 @@ class TestSemistableCounts:
                 for i, d in enumerate(degrees):
                     for e in degrees[i + 1:]:
                         assert not same_orbit(g, d, e)[0]
+
+
+class TestExactIntegers:
+    """Floats, bools and other non-int entries are refused, not truncated."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: esteves_limit((3.0, -3), s),
+        lambda s: esteves_limit((True, -1), s),
+        lambda s: beta_deficit((0.5, -0.5), s),
+        lambda s: twist(s.graph, (1.5, -1.5), 1),
+        lambda s: same_orbit(s.graph, (1, -1), (False, 0)),
+    ], ids=["limit-float", "limit-bool", "deficit", "twist", "same-orbit"])
+    def test_multidegree(self, call):
+        with pytest.raises(TypeError, match="multidegree entry"):
+            call(s_banana_zero())

@@ -48,6 +48,18 @@ def all_sheaves(g, supports=None, window=2):
     return out
 
 
+class TestExactIntegers:
+    @pytest.mark.parametrize("multidegree, nonfree, field", [
+        ((1.9, -0.5), (), "multidegree entry"),
+        ((True, 0), (), "multidegree entry"),
+        ((1, 0), (0.0,), "nonfree edge index"),
+    ])
+    def test_constructor_refuses_non_ints(self, multidegree, nonfree, field):
+        # (1.9, -0.5) was once truncated to the multidegree (1, 0)
+        with pytest.raises(TypeError, match=field):
+            SheafData(banana(), 3, multidegree, nonfree)
+
+
 class TestEulerChar:
     def test_structure_sheaf(self):
         for g in [banana(), triangle(), path3(), genus_decorated()]:

@@ -27,6 +27,23 @@ def make(graph, chi, mapping):
     return VStability.from_dict(graph, chi, mapping)
 
 
+class TestExactIntegers:
+    """Floats, bools and other non-int entries are refused, not truncated."""
+
+    @pytest.mark.parametrize("chi, values, field", [
+        (0, (0.7, 0.2), "stability value"),
+        (0, (True, False), "stability value"),
+        (0.0, (0, 0), "chi"),
+    ])
+    def test_constructor(self, chi, values, field):
+        with pytest.raises(TypeError, match=field):
+            VStability(banana(), chi, values)
+
+    def test_translation(self):
+        with pytest.raises(TypeError, match="translation entry"):
+            translate(VStability(banana(), 0, (0, 0)), (0.5, 0))
+
+
 class TestValidate:
     def test_banana_degenerate_ok(self):
         s = make(banana(), 0, {1: 0, 2: 0})
