@@ -150,8 +150,11 @@ class DualGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        genera = tuple(int(x) for x in self.genera)
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
+        genera = exact_ints(self.genera, "a genus")
+        edges = tuple(sorted(
+            (min(u, v), max(u, v))
+            for u, v in (exact_ints(e, "an edge endpoint") for e in self.edges)
+        ))
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "edges", edges)
         n = len(genera)

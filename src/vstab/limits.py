@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 
 from .errors import DomainMismatch, NonTermination
-from .graphs import DualGraph, exact_ints, vertices_of
+from .graphs import DualGraph, exact_ints, subset_sums, vertices_of
 from .stability import VStability, extended_value_table
 
 Multidegree = tuple[int, ...]
@@ -63,15 +63,7 @@ def beta_deficit(d, s: VStability) -> int:
 
 def _beta_all(g: DualGraph, d, ext) -> list[int]:
     """beta over every mask (index = mask); the empty subcurve gets 0."""
-    full = g.full_mask
-    base = g.line_chi_base
-    dsum = [0] * (full + 1)
-    out = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & (-mask)
-        dsum[mask] = dsum[mask ^ low] + d[low.bit_length() - 1]
-        out[mask] = dsum[mask] + base[mask] - ext[mask]
-    return out
+    return [a + b - e for a, b, e in zip(subset_sums(d), g.line_chi_base, ext)]
 
 
 def twisting_subcurve(d, s: VStability, start: int = None) -> int:
@@ -86,11 +78,16 @@ def twisting_subcurve(d, s: VStability, start: int = None) -> int:
     The set of minimizers need not be closed under union, so for an
     unstable multidegree the grown union can degenerate to the whole
     curve, where twisting is trivial; the limit iteration falls back to
-    other starting minimizers in that case.
+    other starting minimizers in that case.  A given ``start`` must be a
+    nonempty subcurve mask of the graph (``DomainMismatch`` otherwise).
     """
     g = s.graph
     d = _multidegree(g, d)
     s._require_valid()
+    if start is not None and (type(start) is not int or not 0 < start <= g.full_mask):
+        raise DomainMismatch(
+            f"the starting subcurve must be a mask in 1..{g.full_mask}, got {start!r}"
+        )
     betas0 = _beta_all(g, d, extended_value_table(s))
     m0 = min(betas0)
     if start is None:

@@ -163,22 +163,21 @@ def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
 
 
 def minimal_elements(D: DegeneracySet) -> frozenset[int]:
-    """Members admitting no proper difference-decomposition within D.
+    """Members admitting no proper difference-decomposition within D: a
+    member is not minimal iff it is the union of an admissible pair with a
+    part in D.
 
     Every member must be a disjoint union of minimal elements; that
     existence is verified here.  The decomposition need not be unique: in
     degeneracy subsets of K5 realized by stabilities, {1,2,3,4} is both
     {1,2} + {3,4} and {1,3} + {2,4}.
     """
-    bcon = D.graph.bcon_index
-    mins = frozenset(
-        Y for Y in D.members
-        if not any(
-            W != Y and W & Y == W and (Y ^ W) in bcon
-            for W in D.members
-        )
-    )
-    for Y in D.members:
+    members = D.members
+    mins = members - {
+        U for A, B, U in D.graph.admissible_pairs
+        if U in members and (A in members or B in members)
+    }
+    for Y in members:
         if _count_decompositions(Y, sorted(mins)) == 0:
             raise AssertionError(f"member {Y:b} is no disjoint union of minimal elements")
     return mins
@@ -207,28 +206,22 @@ def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[in
     E picks one member of each complementary pair of D2 - D1 (the smaller
     side first); every disjoint pair in D2 - D1 whose union lies in D1 must
     meet E exactly once, and every pairwise-disjoint covering triple in
-    D2 - D1 must meet E once or twice.
+    D2 - D1 must meet E once or twice.  The pairs and both constraint
+    families are read off the graph's ``bcon_pairs``, ``admissible_pairs``
+    and ``covering_triples``.
     """
     if D1.graph != D2.graph:
         return
     if not D1.members <= D2.members:
         return
-    full = D1.graph.full_mask
+    g = D1.graph
     diff = D2.members - D1.members
-    pairs = sorted(
-        {(min(Y, full ^ Y), max(Y, full ^ Y)) for Y in diff}
-    )
-    constraints = []
-    dlist = sorted(diff)
-    for i, Z1 in enumerate(dlist):
-        for Z2 in dlist[i + 1:]:
-            if Z1 & Z2:
-                continue
-            if (Z1 | Z2) in D1.members:
-                constraints.append((Z1, Z2))
-            Z3 = full ^ (Z1 | Z2)
-            if Z3 > Z2 and Z3 in diff:
-                constraints.append((Z1, Z2, Z3))
+    pairs = [pair for pair in g.bcon_pairs if pair[0] in diff]
+    constraints = [
+        (A, B) for A, B, U in g.admissible_pairs
+        if A in diff and B in diff and U in D1.members
+    ]
+    constraints += [T for T in g.covering_triples if diff.issuperset(T)]
     for in_E in _pair_search(
         pairs, [((True, False), (False, True))] * len(pairs),
         constraints, _meets_properly,
@@ -238,7 +231,7 @@ def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[in
 
 def deg_leq(D1: DegeneracySet, D2: DegeneracySet) -> bool:
     """Dominance D1 >= D2 (strictly stronger than inclusion D1 <= D2)."""
-    return next(deg_witnesses(D1, D2), None) is not None
+    return deg_witness(D1, D2) is not None
 
 
 def deg_witness(D1: DegeneracySet, D2: DegeneracySet) -> Optional[frozenset[int]]:

@@ -143,7 +143,7 @@ class OrderedPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", exact_ints(self.parts, "a partition part"))
         if any(p == 0 for p in self.parts):
             raise InvalidPartition("parts must be nonempty")
         for i, a in enumerate(self.parts):
@@ -374,7 +374,7 @@ def extension_glue(
         raise DomainMismatch("summands live on different graphs")
     support = J.support | I.support
     boundary = set(g.crossing_edges(J.support, I.support))
-    free_boundary = frozenset(int(e) for e in free_boundary)
+    free_boundary = frozenset(exact_ints(free_boundary, "a free boundary node"))
     if not free_boundary <= boundary:
         raise ValueError("free boundary choice must consist of boundary nodes")
     d = [0] * g.n

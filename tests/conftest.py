@@ -271,6 +271,19 @@ def oracle_deg_symmetry_key(g: DualGraph, members) -> tuple[int, ...]:
     return best
 
 
+def oracle_minimal_elements(D) -> frozenset[int]:
+    """Members Y of a degeneracy subset with no other member W inside Y
+    whose difference Y - W is biconnected, by comparing every pair."""
+    bcon = set(D.graph.biconnected_subcurves)
+    return frozenset(
+        Y for Y in D.members
+        if not any(
+            W != Y and W & Y == W and (Y ^ W) in bcon
+            for W in D.members
+        )
+    )
+
+
 def all_subcurves(g: DualGraph):
     return range(1 << g.n)
 

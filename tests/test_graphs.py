@@ -40,6 +40,16 @@ def test_loops_do_not_connect():
         DualGraph((0, 0), ((0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("genera, edges, field", [
+    ((0.5, True), ((0, 1), (0, 1)), "genus"),
+    ((0, 0), ((True, False), (0, 1)), "edge endpoint"),
+])
+def test_constructor_refuses_non_ints(genera, edges, field):
+    # (0.5, True) was once read as the genera (0, 1), and bool endpoints kept
+    with pytest.raises(TypeError, match=field):
+        DualGraph(genera, edges)
+
+
 def test_edges_canonically_sorted():
     g = DualGraph((0, 0, 0), ((2, 1), (1, 0)))
     assert g.edges == ((0, 1), (1, 2))

@@ -145,6 +145,16 @@ class TestTwistingSubcurve:
         assert twisting_subcurve((-3, 0, 2, 3), s) == g.full_mask
         assert twisting_subcurve((-3, 0, 2, 3), s, start=0b0011) == 0b0011
 
+    @pytest.mark.parametrize("start", [-1, 0, 7, True, 1.0])
+    def test_start_outside_the_masks_is_refused(self, start):
+        # -1 once came back as the "subcurve" -1, and 7 raised IndexError
+        with pytest.raises(DomainMismatch, match="starting subcurve"):
+            twisting_subcurve((1, -1), s_banana_zero(), start=start)
+
+    def test_start_off_the_minimum_is_refused(self):
+        with pytest.raises(ValueError, match="beta minimum"):
+            twisting_subcurve((5, -5), s_banana_zero(), start=0b01)
+
 
 class TestLimit:
     def test_semistable_input_zero_steps(self):

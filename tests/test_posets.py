@@ -51,6 +51,7 @@ from conftest import (
     k4_plus_path2,
     k5,
     oracle_deg_symmetry_key,
+    oracle_minimal_elements,
     path3,
     single_vertex,
     triangle,
@@ -155,6 +156,16 @@ class TestPairSearch:
         assert matrix.count("1") == 1263
         assert hashlib.sha256(matrix.encode()).hexdigest() == (
             "22f57218b256b08f37a601d23bafd6157e8fe4768d67dfdcfe7a6cd4f0c58498"
+        )
+
+    def test_c6_dominance_matrix_digest(self):
+        # differences of up to all 30 members, past the oracle check above;
+        # recorded with the constraints built per call from D2 - D1
+        degs = enumerate_degeneracy_subsets(cycle6())
+        matrix = "".join("1" if deg_leq(a, b) else "0" for a in degs for b in degs)
+        assert matrix.count("1") == 2471
+        assert hashlib.sha256(matrix.encode()).hexdigest() == (
+            "c80791cadce65109a9e569fb5a4bab19d833c2ce68b544869073e8d733a1a559"
         )
 
     @pytest.mark.parametrize("make, count, digest", [
@@ -290,6 +301,19 @@ class TestMinimalElements:
         members = frozenset({0b0011, 0b1100, 0b0101, 0b1010})
         d = DegeneracySet(g, members)
         assert minimal_elements(d) == members
+
+    def test_matches_pairwise_oracle(self):
+        checked = 0
+        for g in [make() for make in LADDER] + connected_multigraphs(5, 6):
+            for d in enumerate_degeneracy_subsets(g):
+                expected = oracle_minimal_elements(d)
+                if all(_count_decompositions(Y, sorted(expected)) for Y in d.members):
+                    assert minimal_elements(d) == expected
+                else:
+                    with pytest.raises(AssertionError):
+                        minimal_elements(d)
+                checked += 1
+        assert checked == 2054
 
     def test_every_member_decomposes_on_ladder(self):
         for make in LADDER:

@@ -59,6 +59,18 @@ class TestExactIntegers:
         with pytest.raises(TypeError, match=field):
             SheafData(banana(), 3, multidegree, nonfree)
 
+    def test_partition_refuses_non_ints(self):
+        # (1.9, 2) was once truncated to the parts (1, 2)
+        with pytest.raises(TypeError, match="partition part"):
+            OrderedPartition((1.9, 2))
+
+    def test_free_boundary_refuses_non_ints(self):
+        g = banana()
+        J = SheafData(g, 0b10, (0, -1), frozenset())
+        I = SheafData(g, 0b01, (-1, 0), frozenset())
+        with pytest.raises(TypeError, match="free boundary node"):
+            extension_glue(J, I, frozenset({0.0}))
+
 
 class TestEulerChar:
     def test_structure_sheaf(self):
