@@ -53,7 +53,8 @@ MAX_SYMMETRY_VERTICES = 8
 # exceed MAX_LIMIT_DEGREE, nor D * 4**n exceed MAX_LIMIT_WORK: the walk
 # takes of order D twists, each step of the monotone expansion tries 2**n
 # twists over 2**n betas, and both candidate orders read the 4**n table
-# DualGraph.subset_sum_shifts, built on every call.  So D <= 5000 for
+# DualGraph.subset_sum_shifts, built when a walk starts (a semistable start,
+# D = 0, returns before the walk and builds none).  So D <= 5000 for
 # n <= 5, 1250 for n = 6, 312 for n = 7 and 78 for n = 8.  At the bound,
 # the slowest of three start patterns (+k on vertex 0 and -k on vertex
 # n - 1, n // 2 or 1, k the largest within the bound) on sampled orbit
@@ -229,17 +230,17 @@ def cmd_poset(args) -> int:
             )
         if args.mod_symmetry:
             reps, assignment = posets.deg_symmetry_classes(g, degs)
-            # class order: some member of one class dominates the representative
-            keyed = {id(r): k for k, r in enumerate(reps)}
             members: list[list] = [[] for _ in reps]
             for d, k in zip(degs, assignment):
                 members[k].append(d)
 
-            def class_leq(a, b):
-                # a <= b when some member of b's class dominates a
-                return any(posets.deg_leq(m, a) for m in members[keyed[id(b)]])
+            def class_leq(i, j):
+                # class i <= class j when some member of j dominates i's representative
+                return any(posets.deg_leq(m, reps[i]) for m in members[j])
 
-            diagram = posets.hasse(reps, class_leq, label=_deg_label)
+            diagram = posets.hasse(
+                range(len(reps)), class_leq, label=lambda i: _deg_label(reps[i])
+            )
         else:
             diagram = posets.hasse(
                 degs,
@@ -445,10 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:   # SchemaError included
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except VstabError as exc:

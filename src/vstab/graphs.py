@@ -241,19 +241,19 @@ class DualGraph:
     @cached_property
     def covering_triples(self) -> tuple[tuple[int, int, int], ...]:
         """Unordered triples of pairwise-disjoint biconnected subcurves
-        covering the whole curve, each sorted, in ascending order."""
+        covering the whole curve, each sorted, in ascending order: each is
+        met once, as Y1 < Y2 with the complement Y3 of their union above
+        Y2, and the loop meets them in that order."""
         bcon = self.biconnected_subcurves
         index = self.bcon_index
         full = self.full_mask
-        out = set()
+        out = []
         for i, Y1 in enumerate(bcon):
             for Y2 in bcon[i + 1:]:
-                if Y1 & Y2:
-                    continue
                 Y3 = full ^ (Y1 | Y2)
-                if Y3 in index:
-                    out.add(tuple(sorted((Y1, Y2, Y3))))
-        return tuple(sorted(out))
+                if not Y1 & Y2 and Y3 > Y2 and Y3 in index:
+                    out.append((Y1, Y2, Y3))
+        return tuple(out)
 
     @cached_property
     def admissible_pairs(self) -> tuple[tuple[int, int, int], ...]:

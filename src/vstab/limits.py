@@ -207,8 +207,9 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     Beta is tabulated over every subcurve once, at d0.  It is linear in
     the multidegree, so each later node's betas are its parent's plus the
     row ``subset_sum_shifts[Y]`` of the twist.  Both orders read that
-    table, so every call builds it: 4^n entries, 4096 at n = 6, which
-    ``cli.MAX_LIMIT_WORK`` charges for through D * 4^n.
+    table, so every walk builds it: 4^n entries, 4096 at n = 6, which
+    ``cli.MAX_LIMIT_WORK`` charges for through D * 4^n.  A semistable d0
+    returns before the walk, and leaves the table unbuilt.
     """
     g = s.graph
     d0 = _multidegree(g, d0)
@@ -220,7 +221,6 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     bcon = g.biconnected_subcurves
     full = g.full_mask
     deltas = g.twist_deltas
-    shifts = g.subset_sum_shifts
     total = sum(d0)
 
     def lemma_twists(d, betas):
@@ -260,6 +260,7 @@ def esteves_limit(d0, s: VStability) -> tuple[Multidegree, LimitTrace]:
     betas0 = _beta_all(g, d0, extended_value_table(s))
     if semistable(betas0):
         return d0, LimitTrace(d0, (), d0)
+    shifts = g.subset_sum_shifts
     # an unstable start has biconnected subcurves, at least two, as they
     # come in complementary pairs, so this returns the tuple of entries there
     bcon_entries = itemgetter(*bcon)

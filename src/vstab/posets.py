@@ -15,7 +15,8 @@ that of the plain nested loop.  The walk is iterative and yields one live
 assignment, which callers read at once.  The dominance order is decided
 by the first witness subset E.  Orbit enumeration lists the window
 stabilities with the tree-cut pattern, each of which is its own normal
-form.
+form.  The evidence scanner decides rankedness by one ascending sweep of
+ranks over the Hasse covers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -239,30 +241,28 @@ def deg_witness(D1: DegeneracySet, D2: DegeneracySet) -> Optional[frozenset[int]
 
 
 def check_deg_witness(D1: DegeneracySet, D2: DegeneracySet, E: frozenset[int]) -> bool:
-    """Whether a specific E certifies D1 >= D2."""
+    """Whether a specific E certifies D1 >= D2.
+
+    The constraints are derived from D2 - D1 alone, not from the graph's
+    tables, so this stays an independent check of ``deg_witnesses``: one
+    pass over the pairs Z1 < Z2 of disjoint members of D2 - D1 applies the
+    pair rule (union in D1) and the triple rule (complement of the union
+    in D2 - D1 and above Z2, so each triple is met once)."""
     if not D1.members <= D2.members:
         return False
-    g = D1.graph
-    full = g.full_mask
+    full = D1.graph.full_mask
     diff = D2.members - D1.members
     Ec = frozenset(full ^ Y for Y in E)
     if E | Ec != diff or E & Ec:
         return False
-    for Z1 in diff:
-        for Z2 in diff:
-            if Z1 < Z2 and not Z1 & Z2 and (Z1 | Z2) in D1.members:
-                if (Z1 in E) + (Z2 in E) != 1:
-                    return False
-    dlist = sorted(diff)
-    for i, Z1 in enumerate(dlist):
-        for j in range(i + 1, len(dlist)):
-            Z2 = dlist[j]
-            if Z1 & Z2:
-                continue
-            Z3 = full ^ (Z1 | Z2)
-            if Z3 > Z2 and Z3 in diff:
-                if (Z1 in E) + (Z2 in E) + (Z3 in E) not in (1, 2):
-                    return False
+    for Z1, Z2 in itertools.combinations(sorted(diff), 2):
+        if Z1 & Z2:
+            continue
+        if (Z1 | Z2) in D1.members and (Z1 in E) + (Z2 in E) != 1:
+            return False
+        Z3 = full ^ (Z1 | Z2)
+        if Z3 > Z2 and Z3 in diff and (Z1 in E) + (Z2 in E) + (Z3 in E) not in (1, 2):
+            return False
     return True
 
 
@@ -270,16 +270,14 @@ def check_deg_witness(D1: DegeneracySet, D2: DegeneracySet, E: frozenset[int]) -
 
 
 def _closure_from(g: DualGraph, generators: Iterable[int]) -> frozenset[int]:
-    """Disjoint-union closure of a set of biconnected subcurves: the
-    fixpoint of adding the union of every admissible pair inside it."""
+    """Disjoint-union closure of a set of biconnected subcurves, in one pass
+    over the admissible pairs by ascending union: both parts of a pair are
+    smaller masks than its union, so their membership is final when the
+    pair is met."""
     members = set(generators)
-    grew = True
-    while grew:
-        grew = False
-        for A, B, U in g.admissible_pairs:
-            if A in members and B in members and U not in members:
-                members.add(U)
-                grew = True
+    for A, B, U in sorted(g.admissible_pairs, key=itemgetter(2)):
+        if A in members and B in members:
+            members.add(U)
     return frozenset(members)
 
 
@@ -560,39 +558,28 @@ def _all_maximal_chains_equal(n: int, covers: list[tuple[int, int]]):
 
     ``qdeg_scan`` lists the degeneracy subsets by size, and a cover's lower
     set is a proper subset of its upper set, so its covers go upward in
-    index.  One ascending sweep then fills the shortest and longest chain
-    down from each node to a minimal one, and one descending sweep the
-    chains up to a maximal one.
+    index.  One ascending sweep then gives each node the rank one above its
+    lower covers (0 for a minimal node).  Every maximal chain has the same
+    length iff no node gets two ranks and every maximal node gets the same
+    one, which is that length.
     """
-    ups = [[] for _ in range(n)]     # covers above each node
     downs = [[] for _ in range(n)]   # covers below each node
+    maximal = [True] * n
     for lo, hi in covers:
         if lo >= hi:
             raise ValueError(f"cover ({lo}, {hi}) does not go up in index")
-        ups[lo].append(hi)
         downs[hi].append(lo)
-
-    sweeps = []
-    for neighbors, order in ((downs, range(n)), (ups, range(n - 1, -1, -1))):
-        lengths = [(0, 0)] * n    # (shortest, longest) chain from each node
-        for v in order:
-            if neighbors[v]:
-                lengths[v] = (
-                    1 + min(lengths[w][0] for w in neighbors[v]),
-                    1 + max(lengths[w][1] for w in neighbors[v]),
-                )
-        sweeps.append(lengths)
-    down, up = sweeps
-    totals = set()
+        maximal[lo] = False
+    rank = [0] * n
     for v in range(n):
-        lo = up[v][0] + down[v][0]
-        hi = up[v][1] + down[v][1]
-        if lo != hi:
+        ranks = {rank[w] + 1 for w in downs[v]} or {0}
+        if len(ranks) > 1:
             return False, None
-        totals.add(lo)
-    if len(totals) != 1:
+        (rank[v],) = ranks
+    tops = {rank[v] for v in range(n) if maximal[v]}
+    if len(tops) != 1:
         return False, None
-    return True, totals.pop()
+    return True, tops.pop()
 
 
 def qdeg_scan(g: DualGraph) -> dict:

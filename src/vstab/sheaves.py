@@ -410,6 +410,11 @@ def enumerate_semistable(
     the semistability inequalities (chi on the component between the
     extended value and the extended value plus the boundary valence),
     unless ``degree_window`` overrides it with a symmetric box.
+
+    Each candidate's degrees sum to the target minus the support's
+    ``line_chi_base`` and its non-free count, so its chi is the target by
+    construction, and ``is_semistable``, the only test, also asks chi to
+    equal the extended value on each support component.
     """
     s._require_valid()
     dhat = s.extended_degeneracy
@@ -434,7 +439,7 @@ def enumerate_semistable(
                 for v, dv in zip(verts, d):
                     full_d[v] = dv
                 I = SheafData(g, supp, tuple(full_d), frozenset(nonfree))
-                if I.euler_char() == target and is_semistable(I, s):
+                if is_semistable(I, s):
                     out.append(I)
     return out
 

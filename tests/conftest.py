@@ -284,6 +284,67 @@ def oracle_minimal_elements(D) -> frozenset[int]:
     )
 
 
+def oracle_maximal_chain_lengths(n: int, covers) -> set[int]:
+    """The length of every maximal chain of a cover DAG on n nodes, by
+    walking each path of covers from a node with none below it to a node
+    with none above it."""
+    ups = {v: [] for v in range(n)}
+    has_lower = set()
+    for lo, hi in covers:
+        ups[lo].append(hi)
+        has_lower.add(hi)
+    lengths = set()
+    stack = [(v, 0) for v in range(n) if v not in has_lower]
+    while stack:
+        v, length = stack.pop()
+        if not ups[v]:
+            lengths.add(length)
+        stack.extend((w, length + 1) for w in ups[v])
+    return lengths
+
+
+def oracle_closure_from(g: DualGraph, generators) -> frozenset[int]:
+    """Disjoint-union closure as a fixpoint: add the union of every
+    admissible pair inside the set until nothing is added."""
+    members = set(generators)
+    grew = True
+    while grew:
+        grew = False
+        for A, B, U in g.admissible_pairs:
+            if A in members and B in members and U not in members:
+                members.add(U)
+                grew = True
+    return frozenset(members)
+
+
+def oracle_check_deg_witness(D1, D2, E) -> bool:
+    """Whether E certifies D1 >= D2, with the pair rule and the triple rule
+    checked by two separate double loops over D2 - D1."""
+    if not D1.members <= D2.members:
+        return False
+    full = D1.graph.full_mask
+    diff = D2.members - D1.members
+    Ec = frozenset(full ^ Y for Y in E)
+    if E | Ec != diff or E & Ec:
+        return False
+    for Z1 in diff:
+        for Z2 in diff:
+            if Z1 < Z2 and not Z1 & Z2 and (Z1 | Z2) in D1.members:
+                if (Z1 in E) + (Z2 in E) != 1:
+                    return False
+    dlist = sorted(diff)
+    for i, Z1 in enumerate(dlist):
+        for j in range(i + 1, len(dlist)):
+            Z2 = dlist[j]
+            if Z1 & Z2:
+                continue
+            Z3 = full ^ (Z1 | Z2)
+            if Z3 > Z2 and Z3 in diff:
+                if (Z1 in E) + (Z2 in E) + (Z3 in E) not in (1, 2):
+                    return False
+    return True
+
+
 def all_subcurves(g: DualGraph):
     return range(1 << g.n)
 

@@ -345,6 +345,22 @@ class TestVerdictCommands:
         assert bool(captured.out) == (code == 0)
         assert code == 0 or "above 4," in captured.err
 
+    def test_semistable_limit_on_twelve_components_builds_no_shift_table(self, tmp_path, capsys):
+        # the zero degrees against the zero stability of the 12-cycle have
+        # deficit 0, so no walk starts and no 4**12-entry shift table is built
+        g = DualGraph((0,) * 12, tuple((v, (v + 1) % 12) for v in range(12)))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        stability = tmp_path / "stability.json"
+        zero = VStability(g, 0, (0,) * len(g.biconnected_subcurves))
+        stability.write_text(json.dumps(stability_to_json(zero)))
+        start = time.process_time()
+        assert main(["limit", "--graph", str(graph), "--stability", str(stability),
+                     "--multidegree", ",".join("0" * 12)]) == 0
+        assert time.process_time() - start < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["steps"] == [] and doc["result"] == [0] * 12
+
     @pytest.mark.parametrize("multidegree", [
         "5_0,-50", "+5,-5", "5,-\u0665", "5,", "5,-5x", "1" * 5000 + ",0",
     ], ids=["underscore", "plus", "non-ascii-digit", "empty", "suffix", "5000-digits"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -204,6 +205,14 @@ class TestSubcurveTables:
     @pytest.mark.parametrize("loops", [(), ((0, 0),)], ids=["bare", "loop"])
     def test_one_component_inverse(self, loops):
         assert DualGraph((1,), loops).reduced_laplacian_inverse == (1, ())
+
+    def test_covering_triples_match_brute_force(self):
+        for g in connected_multigraphs(5, 7):
+            assert g.covering_triples == tuple(
+                T for T in itertools.combinations(g.biconnected_subcurves, 3)
+                if not T[0] & T[1] and not T[0] & T[2] and not T[1] & T[2]
+                and T[0] | T[1] | T[2] == g.full_mask
+            )
 
 
 class TestGenus:

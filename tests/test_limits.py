@@ -18,7 +18,7 @@ from vstab.limits import (
     twisting_subcurve,
 )
 from vstab.posets import enumerate_orbits
-from vstab.sheaves import enumerate_semistable, is_semistable
+from vstab.sheaves import enumerate_semistable, is_semistable, polystable_limit
 from vstab.stability import extended_value_table
 
 from conftest import (
@@ -162,6 +162,13 @@ class TestLimit:
         d, trace = esteves_limit((1, -1), s)
         assert d == (1, -1) and trace.steps == ()
 
+    def test_semistable_start_leaves_the_shift_table_unbuilt(self):
+        g = banana()
+        esteves_limit((1, -1), VStability.from_dict(g, 0, {1: 0, 2: 0}))
+        assert "subset_sum_shifts" not in g.__dict__
+        esteves_limit((5, -5), VStability.from_dict(g, 0, {1: 0, 2: 0}))
+        assert "subset_sum_shifts" in g.__dict__
+
     def test_two_cycle_worked_trace(self):
         s = s_banana_zero()
         d, trace = esteves_limit((5, -5), s)
@@ -220,6 +227,47 @@ class TestLimit:
                         assert nb[Z] >= step.beta_min
                         if nb[Z] == step.beta_min and step.lemma_step:
                             assert Z & ~step.subcurve == 0
+
+
+class TestLimitUpToSEquivalence:
+    def test_polystable_limit_is_a_function_of_the_class(self):
+        # for a degenerate stability a chip-firing class may hold several
+        # semistable line bundles, but they share one polystable limit, so
+        # the limit is unique up to S-equivalence; the class key is the
+        # reduced Laplacian's inverse applied to the degrees, mod k
+        runs = crowded = 0
+        for g in [banana(), triangle(), k4()]:
+            k, A = g.reduced_laplacian_inverse
+
+            def key(d):
+                return tuple(sum(a * x for a, x in zip(row, d)) % k for row in A)
+
+            for s in enumerate_orbits(g):
+                if s.is_general():
+                    continue
+                point_of = {
+                    I.multidegree: polystable_limit(I, s)
+                    for I in enumerate_semistable(g, s, full_support_only=True)
+                    if not I.nonfree
+                }
+                by_class = {}
+                for d, point in point_of.items():
+                    by_class.setdefault(key(d), []).append(point)
+                crowded += sum(len(points) > 1 for points in by_class.values())
+                class_point = {}
+                for c, points in by_class.items():
+                    assert points.count(points[0]) == len(points)
+                    class_point[c] = points[0]
+                # every start of criterion 09's box
+                win = g.genus + 2
+                need = s.chi - (g.n - sum(g.genera)) + len(g.edges)
+                for d in itertools.product(range(-win, win + 1), repeat=g.n):
+                    if sum(d) != need:
+                        continue
+                    result, _ = esteves_limit(d, s)
+                    assert point_of[result] == class_point[key(d)]
+                    runs += 1
+        assert (runs, crowded) == (29055, 103)
 
 
 class TestOrbit:

@@ -14,6 +14,7 @@ from vstab.graphenum import connected_multigraphs
 from vstab.graphs import mask_of, vertices_of
 from vstab.posets import (
     _all_maximal_chains_equal,
+    _closure_from,
     _count_decompositions,
     _pair_search,
     check_deg_witness,
@@ -50,7 +51,10 @@ from conftest import (
     k4,
     k4_plus_path2,
     k5,
+    oracle_check_deg_witness,
+    oracle_closure_from,
     oracle_deg_symmetry_key,
+    oracle_maximal_chain_lengths,
     oracle_minimal_elements,
     path3,
     single_vertex,
@@ -138,6 +142,25 @@ class TestPairSearch:
                         assert list(deg_witnesses(D1, D2)) == oracle_witnesses(D1, D2)
                         checked += 1
         assert checked == 1144
+
+    def test_witness_check_matches_the_double_loops(self):
+        # every side choice E on every included pair with at most six
+        # complementary pairs between
+        checked = 0
+        for g in [k4(), cycle5()] + connected_multigraphs(4, 6):
+            full = g.full_mask
+            degs = enumerate_degeneracy_subsets(g)
+            for D1 in degs:
+                for D2 in degs:
+                    diff = D2.members - D1.members
+                    if not D1.members <= D2.members or len(diff) > 12:
+                        continue
+                    pairs = sorted(Y for Y in diff if Y < full ^ Y)
+                    for sides in itertools.product((0, full), repeat=len(pairs)):
+                        E = frozenset(map(int.__xor__, pairs, sides))
+                        assert check_deg_witness(D1, D2, E) == oracle_check_deg_witness(D1, D2, E)
+                        checked += 1
+        assert checked == 11896
 
     # sha256 of the outputs, recorded with the brute-force subset walk and
     # the per-function searches the pair search replaced
@@ -440,6 +463,15 @@ class TestMoves:
                     assert deg_leq(out, d)
         assert refused_closures == 24
 
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_closure_matches_the_fixpoint(self, make):
+        g = make()
+        rng = random.Random(g.n)
+        bcon = g.biconnected_subcurves
+        for _ in range(200):
+            gens = rng.sample(bcon, rng.randint(0, len(bcon)))
+            assert _closure_from(g, gens) == oracle_closure_from(g, gens)
+
 
 class TestVStabOrder:
     def test_lift_identity(self):
@@ -697,6 +729,34 @@ class TestChainSweeps:
     def test_downward_cover_refused(self):
         with pytest.raises(ValueError):
             _all_maximal_chains_equal(2, [(1, 0)])
+
+    def test_scan_catalogue_matches_every_maximal_chain(self):
+        ranked = 0
+        for g in connected_multigraphs(5, 7):
+            degs = enumerate_degeneracy_subsets(g)
+            covers = hasse(
+                degs, lambda a, b: a.members <= b.members and deg_leq(a, b), label=lambda d: ""
+            ).covers
+            got = _all_maximal_chains_equal(len(degs), covers)
+            assert got == _chains_verdict(len(degs), covers)
+            ranked += got[0]
+        assert ranked == 241     # every poset of the catalogue is ranked
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_up_going_dags_match_every_maximal_chain(self, data):
+        n = data.draw(st.integers(0, 8))
+        candidates = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                  max_size=len(candidates)))
+        covers = list(itertools.compress(candidates, keep))
+        assert _all_maximal_chains_equal(n, covers) == _chains_verdict(n, covers)
+
+
+def _chains_verdict(n, covers):
+    """(ranked, common length) read off the length of every maximal chain."""
+    lengths = oracle_maximal_chain_lengths(n, covers)
+    return (True, lengths.pop()) if len(lengths) == 1 else (False, None)
 
 
 class TestScan:
