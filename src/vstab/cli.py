@@ -15,7 +15,7 @@ import sys
 
 from . import graphenum, limits, polarization, posets, serialize, sheaves
 from .errors import InvalidPartition, VstabError
-from .graphs import DualGraph, popcount, vertices_of
+from .graphs import DualGraph, vertices_of
 from .serialize import SchemaError
 from .stability import VStability
 
@@ -71,13 +71,14 @@ MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
 # The most candidate sheaves `semistable --window W` may test (_window_work),
 # checked before the enumeration: 2**|E| (2W+1)**(n-1) on the full support;
 # with --all-supports, 2**e (2W+1)**(k-1) summed over the supports of k
-# components with e internal edges.  Each candidate costs about 40 us
-# (triangle to C8), so the cost grows as (2W+1)**(n-1): the triangle took
-# 3.2 s at W = 50 and 58 s at W = 200.  The bound admits W <= 55 on the
-# triangle, 5 on K4, 3 on C5 and 12499 on the banana, with or without
-# --all-supports.  At the bound these took (CPU time, Python 3.11.7, one
-# core of a 2-vCPU box, 28 MB peak RSS): triangle 3.9 s, K4 4.8 s, C5
-# 3.9 s, banana 4.1 s; with --all-supports 4.6, 4.1, 3.8 and 3.9 s.
+# components with e internal edges.  That counts the whole box of degree
+# vectors, but the search only meets each forced degree window with
+# [-W, W], so the count is a conservative upper bound.  It admits W <= 55
+# on the triangle, 5 on K4, 3 on C5 and 12499 on the banana, with or
+# without --all-supports.  At the bound, on the first orbit of each, these took
+# (CPU time, Python 3.11.7, one core of a 2-vCPU box, 27 MB peak RSS):
+# triangle 0.006 s, K4 0.10 s, C5 0.07 s, banana 0.005 s; with
+# --all-supports 0.007, 0.11, 0.07 and 0.005 s.
 MAX_WINDOW_WORK = 100_000
 
 
@@ -113,7 +114,7 @@ def _window_work(g: DualGraph, window: int, all_supports: bool) -> int:
     side = 2 * window + 1
     supports = range(1, g.full_mask + 1) if all_supports else [g.full_mask]
     return sum(
-        2 ** g.internal_edge_count(Y) * side ** (popcount(Y) - 1) for Y in supports
+        2 ** g.internal_edge_count(Y) * side ** (Y.bit_count() - 1) for Y in supports
     )
 
 

@@ -27,7 +27,10 @@ Edge = tuple[int, int]
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Vertex indices contained in a subcurve mask, ascending."""
+    """Vertex indices contained in a subcurve mask, ascending; a negative
+    mask has infinitely many bits and raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"a subcurve mask is non-negative, got {mask}")
     out = []
     v = 0
     while mask:
@@ -54,10 +57,6 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def subset_sums(weights) -> list[int]:
@@ -365,7 +364,7 @@ class DualGraph:
         pieces = self.connected_components(Y)
         return (
             self.internal_edge_count(Y)
-            - popcount(Y)
+            - Y.bit_count()
             + len(pieces)
             + sum(self.genera[v] for v in vertices_of(Y))
         )
@@ -424,7 +423,7 @@ class DualGraph:
                 if (fib >> self.edges[i][0]) & 1 and (fib >> self.edges[i][1]) & 1
             )
             genera.append(
-                in_fiber - popcount(fib) + 1
+                in_fiber - fib.bit_count() + 1
                 + sum(self.genera[v] for v in vertices_of(fib))
             )
         Fset = set(F)

@@ -38,11 +38,15 @@ def twist(g: DualGraph, d, Y: int) -> Multidegree:
     """Chip-firing twist by a subcurve: degree rises on Y by its outward
     valence, falls outside accordingly.  Twisting by the whole curve or by
     nothing is the identity."""
+    if not 0 <= Y <= g.full_mask:
+        raise DomainMismatch(f"subcurve {Y!r} is not a mask in 0..{g.full_mask}")
     return tuple(map(add, _multidegree(g, d), g.twist_deltas[Y]))
 
 
 def line_bundle_chi(g: DualGraph, d, Z: int) -> int:
     """chi of the restriction to Z of the line bundle with multidegree d."""
+    if not 0 <= Z <= g.full_mask:
+        raise DomainMismatch(f"subcurve {Z!r} is not a mask in 0..{g.full_mask}")
     return g.line_chi_base[Z] + sum(d[v] for v in vertices_of(Z))
 
 
@@ -141,7 +145,7 @@ def _minimizer_starts(betas: list[int]) -> list[int]:
     first = _max_minimizer(minimizers)
     rest = sorted(
         (Z for Z in minimizers if Z != first),
-        key=lambda Z: (bin(Z).count("1"), Z),
+        key=lambda Z: (Z.bit_count(), Z),
     )
     return [first] + rest
 

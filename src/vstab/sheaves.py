@@ -20,6 +20,7 @@ exact sequence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -31,8 +32,8 @@ from .errors import (
     NotPolystable,
     NotSemistable,
 )
-from .graphs import DualGraph, adjacency_masks, components, exact_ints, vertices_of
-from .limits import line_bundle_chi
+from .graphs import (DualGraph, adjacency_masks, component_of, components, exact_ints,
+                     vertices_of)
 from .stability import VStability
 
 
@@ -68,8 +69,9 @@ class SheafData:
     # -- Euler characteristics ------------------------------------------------
 
     def euler_char(self) -> int:
-        # separating a non-free node (internal by construction) adds one
-        return line_bundle_chi(self.graph, self.multidegree, self.support) + len(self.nonfree)
+        # zero degrees off the support; separating a non-free node adds one
+        g = self.graph
+        return g.line_chi_base[self.support] + sum(self.multidegree) + len(self.nonfree)
 
     def euler_char_on(self, Y: int) -> int:
         """chi of the torsion-free restriction to Y (met with the support)."""
@@ -408,12 +410,12 @@ def enumerate_semistable(
 
     Degrees are confined, per supported component, to the window forced by
     the semistability inequalities (chi on the component between the
-    extended value and the extended value plus the boundary valence),
-    unless ``degree_window`` overrides it with a symmetric box.
+    extended value and the extended value plus the boundary valence);
+    these are complete, so ``degree_window`` W narrows each to [-W, W].
 
-    Each candidate's degrees sum to the target minus the support's
-    ``line_chi_base`` and its non-free count, so its chi is the target by
-    construction, and ``is_semistable``, the only test, also asks chi to
+    Each candidate's degrees sum to the support's extended value (its chi
+    target, additive over components) minus its ``line_chi_base`` and
+    non-free count, and ``is_semistable``, the only test, also asks chi to
     equal the extended value on each support component.
     """
     s._require_valid()
@@ -421,17 +423,14 @@ def enumerate_semistable(
     out = []
     supports = [g.full_mask] if full_support_only else range(1, g.full_mask + 1)
     for supp in supports:
-        comps = g.connected_components(supp)
-        if not all(c in dhat for c in comps):
+        if not all(c in dhat for c in g.connected_components(supp)):
             continue
         verts = vertices_of(supp)
-        # target and windows depend on the support alone; on the full
-        # support the target is chi, the extended value of the whole curve
-        target = sum(s.extended_value(c) for c in comps)
+        target = s.extended_value(supp)
+        windows = [_degree_window_for(g, s, supp, v) for v in verts]
         if degree_window is not None:
-            windows = [(-degree_window, degree_window)] * len(verts)
-        else:
-            windows = [_degree_window_for(g, s, supp, v) for v in verts]
+            W = degree_window
+            windows = [(max(lo, -W), min(hi, W)) for lo, hi in windows]
         for nonfree in _subsets(g.internal_edges(supp)):
             degsum = target - g.line_chi_base[supp] - len(nonfree)
             for d in _bounded_sums(windows, degsum):
@@ -449,8 +448,8 @@ def _degree_window_for(g: DualGraph, s: VStability, supp: int, v: int) -> tuple[
     of v: chi on v is at least the restricted extended value, and at most
     the subsheaf bound plus the boundary valence; loops widen the
     translation to degrees by their count."""
-    comp = next(c for c in g.connected_components(supp) if (c >> v) & 1)
     vmask = 1 << v
+    comp = component_of(g.neighbor_masks, supp, vmask)
     rest = comp & ~vmask
     lo_chi = relative_extended_value(s, comp, vmask)
     if rest:
@@ -472,15 +471,11 @@ def _subsets(items) -> Iterator[frozenset]:
 
 
 def _bounded_sums(windows, total) -> Iterator[tuple[int, ...]]:
-    """Integer tuples within per-coordinate windows with a fixed sum."""
-    if not windows:
-        if total == 0:
-            yield ()
-        return
-    lo0, hi0 = windows[0]
-    rest = windows[1:]
-    rest_lo = sum(lo for lo, _ in rest)
-    rest_hi = sum(hi for _, hi in rest)
-    for x in range(max(lo0, total - rest_hi), min(hi0, total - rest_lo) + 1):
-        for tail in _bounded_sums(rest, total - x):
-            yield (x,) + tail
+    """Integer tuples within per-coordinate windows (at least one) with a
+    fixed sum, in lexicographic order: every choice of the entries but the
+    last, which is whatever the sum leaves, kept when in its window."""
+    *head, (lo, hi) = windows
+    for xs in itertools.product(*(range(a, b + 1) for a, b in head)):
+        last = total - sum(xs)
+        if lo <= last <= hi:
+            yield xs + (last,)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
-from .graphs import Contraction, DualGraph, exact_ints, subset_sums, vertices_of
+from .graphs import Contraction, DualGraph, exact_ints, permute_mask, subset_sums
 
 
 # allowed triple sums minus chi, by the number of degenerate members
@@ -205,17 +205,15 @@ class VStability:
     @cached_property
     def extended_degeneracy(self) -> frozenset[int]:
         """Connected subcurves whose complement components are all degenerate,
-        plus the whole curve."""
+        plus the whole curve: on a connected W, ext[W] + ext[W^c] is chi plus
+        the number of non-degenerate (biconnected) pieces of W^c."""
         self._require_valid()
         g = self.graph
         full = g.full_mask
-        out = {full}
-        for W in g.connected_subcurves:
-            if W == full:
-                continue
-            if all(self.is_degenerate(Z) for Z in g.connected_components(full ^ W)):
-                out.add(W)
-        return frozenset(out)
+        ext = self.extended_values
+        return frozenset(
+            W for W in g.connected_subcurves if ext[W] + ext[full ^ W] == self.chi
+        )
 
     @cached_property
     def extended_values(self) -> list[int]:
@@ -253,9 +251,12 @@ class VStability:
     def extended_value(self, Y: int) -> int:
         """Value of the extended V-function on any nonempty subcurve, read
         from :attr:`extended_values`; validity is not required."""
+        table = self.extended_values
+        if 0 < Y < len(table):
+            return table[Y]
         if Y == 0:
             raise EmptySubcurve("the extended V-function needs a nonempty subcurve")
-        return self.extended_values[Y]
+        raise DomainMismatch(f"subcurve {Y!r} is not a mask in 1..{len(table) - 1}")
 
     # -- restriction and pullback ---------------------------------------------
 
@@ -268,16 +269,8 @@ class VStability:
                 f"subcurve {Y:b} is not in the extended degeneracy set"
             )
         sub, verts = self.graph.induced(Y)
-        embed = {i: 1 << v for i, v in enumerate(verts)}
-
-        def embed_mask(m):
-            out = 0
-            for i in vertices_of(m):
-                out |= embed[i]
-            return out
-
         values = tuple(
-            self.extended_value(embed_mask(W)) for W in sub.biconnected_subcurves
+            self.extended_value(permute_mask(W, verts)) for W in sub.biconnected_subcurves
         )
         return VStability(sub, self.extended_value(Y), values)
 

@@ -5,16 +5,19 @@ connectivity works on adjacency sets, component counts use union-find,
 so the formulas under test are checked against independent computations.
 """
 
+import contextlib
 import itertools
 import math
+import signal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from vstab import DualGraph
+from vstab import DualGraph, SheafData
 from vstab.graphs import permute_mask, solve_equalities, vertices_of
 from vstab.limits import laplacian
+from vstab.sheaves import is_semistable
 from vstab.stability import ValidationReport, Violation
 
 
@@ -91,6 +94,11 @@ def genus_decorated():
     return DualGraph((1, 2), ((0, 1), (0, 1), (1, 1)))
 
 
+def triangle_genus1():
+    """The triangle with a genus-1 vertex."""
+    return DualGraph((1, 0, 0), triangle().edges)
+
+
 POOL_SMALL = [single_vertex, single_edge, banana, triple_banana, path3,
               triangle, theta_plus_spur]
 POOL_N4 = POOL_SMALL + [star4, path4, cycle4, k4]
@@ -99,6 +107,22 @@ POOL_N5 = POOL_N4 + [cycle5]
 LADDER = [banana, k4, cycle5, k5, cycle6, k4_plus_path2]
 # the graphs whose subcurve tables are checked against the oracles
 TABLE_POOL = list(dict.fromkeys(POOL_N4 + LADDER + [genus_decorated]))
+
+
+@contextlib.contextmanager
+def time_bound(seconds: float):
+    """Fail a block that runs longer than ``seconds`` of wall time, rather
+    than letting it hang: a SIGALRM timer raises TimeoutError in it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -174,12 +198,15 @@ def oracle_fibers(g: DualGraph, edge_indices) -> list[set]:
     return [fibers[r] for r in sorted(fibers)]
 
 
-def oracle_spanning_trees(g: DualGraph) -> int:
-    """Spanning trees, parallel edges counted apart: the sets of n - 1
-    edges whose fibers are one component, by brute force."""
+def oracle_spanning_trees(g: DualGraph, deleted=()) -> int:
+    """Spanning trees of g with the edge indices ``deleted`` removed,
+    parallel edges counted apart: the sets of n - 1 remaining edges whose
+    fibers are one component, by brute force; 0 when the remaining graph
+    is disconnected."""
+    kept = [e for e in range(len(g.edges)) if e not in deleted]
     return sum(
         len(oracle_fibers(g, tree)) == 1
-        for tree in itertools.combinations(range(len(g.edges)), g.n - 1)
+        for tree in itertools.combinations(kept, g.n - 1)
     )
 
 
@@ -258,6 +285,56 @@ def oracle_extended_value(s, Y: int) -> int:
         if not s.is_degenerate(Z):
             total += 1
     return total
+
+
+def oracle_extended_degeneracy(s) -> frozenset[int]:
+    """The extended degeneracy set by its definition: the whole curve and
+    every connected subcurve whose complement's pieces are all degenerate,
+    one component search per subcurve."""
+    g = s.graph
+    full = g.full_mask
+    out = {full}
+    for W in g.connected_subcurves:
+        if W != full and all(
+            s.is_degenerate(Z) for Z in g.connected_components(full ^ W)
+        ):
+            out.add(W)
+    return frozenset(out)
+
+
+def oracle_box_semistable(s, window: int, full_support_only: bool) -> list:
+    """``enumerate_semistable`` with every degree in [-window, window] by
+    the symmetric box it searched before narrowing the forced windows: per
+    support with every piece in the extended degeneracy set, per non-free
+    subset, every box vector of the forced degree sum in lexicographic
+    order, kept when semistable."""
+    g = s.graph
+    dhat = s.extended_degeneracy
+    out = []
+    supports = [g.full_mask] if full_support_only else range(1, g.full_mask + 1)
+    for supp in supports:
+        comps = g.connected_components(supp)
+        if not all(c in dhat for c in comps):
+            continue
+        verts = vertices_of(supp)
+        target = sum(s.extended_value(c) for c in comps)
+        internal = g.internal_edges(supp)
+        for bits in range(1 << len(internal)):
+            nonfree = frozenset(
+                e for i, e in enumerate(internal) if (bits >> i) & 1
+            )
+            degsum = target - g.line_chi_base[supp] - len(nonfree)
+            for degs in itertools.product(range(-window, window + 1),
+                                          repeat=len(verts)):
+                if sum(degs) != degsum:
+                    continue
+                d = [0] * g.n
+                for v, dv in zip(verts, degs):
+                    d[v] = dv
+                I = SheafData(g, supp, tuple(d), nonfree)
+                if is_semistable(I, s):
+                    out.append(I)
+    return out
 
 
 def oracle_deg_symmetry_key(g: DualGraph, members) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from conftest import (
     oracle_spanning_trees,
     oracle_twist_deltas,
     path3,
+    time_bound,
     triangle,
 )
 
@@ -71,6 +72,12 @@ class TestConnectivity:
     def test_empty_subcurve_rejected(self):
         with pytest.raises(EmptySubcurve):
             banana().is_connected(0)
+
+    @pytest.mark.parametrize("mask", [-1, -6])
+    def test_negative_mask_has_no_vertex_list(self, mask):
+        # a negative mask has infinitely many bits; it once looped forever
+        with time_bound(2), pytest.raises(ValueError, match="non-negative"):
+            vertices_of(mask)
 
     def test_matches_oracle_exhaustively(self):
         for make in POOL_N4:

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from vstab import DualGraph, SheafData, VStability
 from vstab.errors import DomainMismatch, InvalidStability
+from vstab.graphenum import connected_multigraphs
 from vstab.limits import (
     _beta_all,
     beta,
     beta_deficit,
     esteves_limit,
     laplacian,
+    line_bundle_chi,
     same_orbit,
     twist,
     twisting_subcurve,
@@ -24,7 +26,7 @@ from vstab.stability import extended_value_table
 from conftest import (
     LADDER, TABLE_POOL, banana, cycle5, genus_decorated, k4, k4_plus_path2,
     oracle_same_orbit_elimination, oracle_solve_integer, oracle_spanning_trees, path3,
-    triangle,
+    time_bound, triangle,
 )
 
 
@@ -269,6 +271,58 @@ class TestLimitUpToSEquivalence:
                     runs += 1
         assert (runs, crowded) == (29055, 103)
 
+    def test_general_limit_is_the_semistable_point_of_the_class(self):
+        # a general stability has one semistable line bundle per class, so
+        # every start of criterion 09's box walks to the one of its class
+        runs = 0
+        for g in [banana(), triangle(), k4(), cycle5()]:
+            k, A = g.reduced_laplacian_inverse
+
+            def key(d):
+                return tuple(sum(a * x for a, x in zip(row, d)) % k for row in A)
+
+            for s in enumerate_orbits(g):
+                if not s.is_general():
+                    continue
+                point = {}
+                for I in enumerate_semistable(g, s, full_support_only=True):
+                    if not I.nonfree:
+                        c = key(I.multidegree)
+                        assert c not in point
+                        point[c] = I.multidegree
+                win = g.genus + 2
+                need = s.chi - (g.n - sum(g.genera)) + len(g.edges)
+                for d in itertools.product(range(-win, win + 1), repeat=g.n):
+                    if sum(d) != need:
+                        continue
+                    result, _ = esteves_limit(d, s)
+                    assert result == point[key(d)]
+                    runs += 1
+        assert runs == 43405
+
+
+class TestSubcurveRange:
+    """A subcurve mask outside 0..full_mask raises DomainMismatch.  On the
+    banana, -1 once made line_bundle_chi and beta loop forever and twist
+    wrap round to the whole curve, and 4 raised a bare IndexError."""
+
+    @pytest.mark.parametrize("Y", [-1, -2, 4, 7])
+    @pytest.mark.parametrize("call", [
+        lambda s, Y: twist(s.graph, (1, -1), Y),
+        lambda s, Y: line_bundle_chi(s.graph, (1, -1), Y),
+        lambda s, Y: beta((1, -1), s, Y),
+    ], ids=["twist", "line-bundle-chi", "beta"])
+    def test_out_of_range(self, call, Y):
+        with time_bound(2), pytest.raises(DomainMismatch, match="not a mask"):
+            call(s_banana_zero(), Y)
+
+    def test_range_ends_are_subcurves(self):
+        s = s_banana_zero()
+        g = s.graph
+        assert twist(g, (1, -1), 0) == twist(g, (1, -1), 3) == (1, -1)
+        assert line_bundle_chi(g, (1, -1), 0) == 0
+        assert beta((1, -1), s, 3) == line_bundle_chi(g, (1, -1), 3) - s.chi
+
 
 class TestOrbit:
     def test_twist_is_in_orbit(self):
@@ -416,6 +470,36 @@ class TestSemistableCounts:
                 for i, d in enumerate(degrees):
                     for e in degrees[i + 1:]:
                         assert not same_orbit(g, d, e)[0]
+
+    @pytest.mark.parametrize("graphs", ["ladder", "catalogue-5-6"])
+    def test_general_census_by_nonfree_set(self, graphs):
+        # for a general stability the full-support semistable classes with
+        # non-free set N are the stable line bundles of G - N, one per
+        # spanning tree of G - N and none when it is disconnected: the
+        # strata of a fine compactified Jacobian (Melo-Viviani); summed
+        # over N they number tau(G) 2**b1
+        pool = (
+            [banana(), triangle(), k4(), cycle5(), k4_plus_path2()]
+            if graphs == "ladder" else connected_multigraphs(5, 6)
+        )
+        orbits = 0
+        for g in pool:
+            subsets = [
+                frozenset(N) for r in range(len(g.edges) + 1)
+                for N in itertools.combinations(range(len(g.edges)), r)
+            ]
+            trees = {N: oracle_spanning_trees(g, N) for N in subsets}
+            b1 = len(g.edges) - g.n + 1
+            for s in enumerate_orbits(g):
+                if not s.is_general():
+                    continue
+                count = dict.fromkeys(subsets, 0)
+                for I in enumerate_semistable(g, s, full_support_only=True):
+                    count[I.nonfree] += 1
+                assert count == trees
+                assert sum(count.values()) == trees[frozenset()] * 2 ** b1
+                orbits += 1
+        assert orbits == {"ladder": 47, "catalogue-5-6": 330}[graphs]
 
 
 class TestExactIntegers:

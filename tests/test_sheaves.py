@@ -8,7 +8,7 @@ from vstab.errors import (
     InvalidPartition,
     NotSemistable,
 )
-from vstab.posets import enumerate_orbits, vstab_leq
+from vstab.posets import enumerate_orbits, translate, vstab_leq
 from vstab.sheaves import (
     enumerate_semistable,
     extension_glue,
@@ -23,7 +23,10 @@ from vstab.sheaves import (
     tight_unsplit_witnesses,
 )
 
-from conftest import banana, genus_decorated, path3, triangle
+from conftest import (
+    banana, cycle5, genus_decorated, k4, oracle_box_semistable, path3, triangle,
+    triangle_genus1,
+)
 
 
 def s_banana_zero():
@@ -399,6 +402,30 @@ class TestEnumerate:
                                     degree_window=5)
         tight = enumerate_semistable(s.graph, s, full_support_only=True)
         assert set(tight) == set(wide)
+
+    # (graph, orbits tried, largest window): every orbit of the small
+    # graphs; on K4 and C5 the first orbit and the first general one, to
+    # keep the box search of the oracle within seconds
+    @pytest.mark.parametrize("make, every_orbit, top", [
+        (banana, True, 3), (triangle, True, 3), (triangle_genus1, True, 3),
+        (genus_decorated, True, 3), (k4, False, 2), (cycle5, False, 2),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_window_narrows_the_forced_windows_like_the_box(self, make, every_orbit, top):
+        # --window W meets each forced window with [-W, W]; the forced
+        # windows are complete, so this lists what the symmetric box search
+        # found, in the same order, on orbits translated off characteristic 0
+        g = make()
+        orbits = enumerate_orbits(g)
+        if not every_orbit:
+            orbits = [orbits[0], next(s for s in orbits if s.is_general())]
+        for s0 in orbits:
+            for t in (0, 2, -3):
+                s = translate(s0, (t,) + (0,) * (g.n - 1))
+                for W in range(top + 1):
+                    for full in (True, False):
+                        assert enumerate_semistable(
+                            g, s, full_support_only=full, degree_window=W
+                        ) == oracle_box_semistable(s, W, full)
 
 
 class TestExtensionGlue:

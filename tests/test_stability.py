@@ -7,19 +7,24 @@ from vstab import DualGraph, VStability, pullback
 from vstab.errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
 from vstab.graphenum import connected_multigraphs
 from vstab.graphs import vertices_of
-from vstab.posets import enumerate_window_stabilities, translate
+from vstab.posets import enumerate_orbits, enumerate_window_stabilities, translate
 from vstab.stability import DegeneracySet
 
 from conftest import (
     LADDER,
+    POOL_N5,
     TABLE_POOL,
     banana,
+    genus_decorated,
     k4,
+    oracle_extended_degeneracy,
     oracle_extended_value,
     oracle_validate,
     oracle_validate_via_union,
     path3,
+    time_bound,
     triangle,
+    triangle_genus1,
 )
 
 
@@ -204,6 +209,13 @@ class TestExtended:
         with pytest.raises(EmptySubcurve):
             s.extended_value(0)
 
+    @pytest.mark.parametrize("Y", [-1, -3, 4, 5])
+    def test_mask_out_of_range_rejected(self, Y):
+        # -1 once read the whole curve's value and 4 raised a bare IndexError
+        s = make(banana(), 0, {1: 0, 2: 0})
+        with time_bound(2), pytest.raises(DomainMismatch, match="not a mask"):
+            s.extended_value(Y)
+
     @pytest.mark.parametrize("make", TABLE_POOL, ids=lambda f: f.__name__)
     def test_table_matches_recursive_oracle(self, make):
         # every window stability, and one invalid stability wherever there
@@ -230,6 +242,22 @@ class TestExtended:
         g = triangle()
         s = make(g, 0, {Y: 0 for Y in g.biconnected_subcurves})
         assert s.extended_degeneracy == frozenset(g.connected_subcurves)
+
+    def test_extended_degeneracy_matches_the_component_search(self):
+        # D-hat read off the extended table against the component search it
+        # replaced, on every orbit of the ladder, the n <= 5 pool, two
+        # genus/loop graphs and the (5, 6) catalogue, each also translated
+        # by +3 on vertex 0
+        graphs = [f() for f in dict.fromkeys(LADDER + POOL_N5)] + [
+            genus_decorated(), triangle_genus1(),
+        ] + list(connected_multigraphs(5, 6))
+        checked = 0
+        for g in graphs:
+            for s0 in enumerate_orbits(g):
+                for s in (s0, translate(s0, (3,) + (0,) * (g.n - 1))):
+                    assert s.extended_degeneracy == oracle_extended_degeneracy(s)
+                    checked += 1
+        assert (len(graphs), checked) == (128, 10012)
 
     def test_meets_bcon_is_degeneracy_set(self, graphs_n4):
         for g in graphs_n4:
