@@ -7,12 +7,13 @@ V-stability, and :func:`is_classical` decides, by exact Fourier-Motzkin
 elimination, whether a given V-stability arises this way, returning a
 witness polarization when it does.
 
-The decision works on integer rows: the equalities are solved by
-fraction-free Gauss-Jordan elimination, and the eliminated inequalities are
+The decision works on integers throughout: the equalities are solved by
+fraction-free Gauss-Jordan elimination, the eliminated inequalities are
 primitive integer rows whose bounds are reduced (numerator, denominator)
-pairs.  Rationals (``fractions.Fraction``) appear only at the
-back-substitution of the witness.  Exactness is non-negotiable for the
-strict-inequality feasibility decision.
+pairs, and the witness is back-substituted as integer numerators over one
+common denominator.  Rationals (``fractions.Fraction``) are built only for
+the entries of the returned polarization.  Exactness is non-negotiable for
+the strict-inequality feasibility decision.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
-from .errors import InvalidPolarization, InvalidStability
+from .errors import DomainMismatch, InvalidPolarization, InvalidStability
 from .graphs import DualGraph, exact_ints, solve_equalities, subset_sums, vertices_of
 from .stability import VStability
 
@@ -58,6 +60,12 @@ class NumericalPolarization:
             )
 
     def value_on(self, Y: int) -> Fraction:
+        """psi_Y, the sum over the components of the mask Y; 0 on the empty
+        mask, and ``DomainMismatch`` outside 0..full_mask."""
+        full = self.graph.full_mask
+        if not 0 <= Y <= full:
+            # the mask is not shown: a huge int has no decimal string
+            raise DomainMismatch(f"a subcurve mask is in 0..{full}")
         return sum((self.psi[v] for v in vertices_of(Y)), Fraction(0))
 
     def induced_vstability(self) -> VStability:
@@ -124,8 +132,9 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
     solved by fraction-free Gauss-Jordan elimination; the bounds, rewritten
     in the free variables, are integer rows, decided by exact
     Fourier-Motzkin elimination tracking strict vs. weak inequalities.
-    Integer rows throughout, rationals only at back-substitution: the
-    witness takes interval midpoints.
+    Integers throughout: the witness takes interval midpoints, found as
+    integer numerators over one common denominator M, and the pivot
+    variables follow on the same M, so one ``Fraction`` is built per entry.
     """
     if not s.is_valid:
         raise InvalidStability("classical detection requires a valid V-stability")
@@ -146,37 +155,37 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
         return None
     pivots, free = solved
 
-    # scale * x_v = const + coeffs . (free variables), for every variable v
+    # scale * x_v = const + coeffs . (free variables), for every variable v,
+    # kept as the vector (const, *coeffs) and summed over every mask by one
+    # subset_sums table per coordinate
     scale = lcm(*(D for D, _, _ in pivots.values()))
     forms = []
     for v in range(n):
         if v in pivots:
             D, a, r = pivots[v]
             m = scale // D
-            forms.append((tuple(-m * c for c in a), m * r))
+            forms.append((m * r,) + tuple(-m * c for c in a))
         else:
-            forms.append((tuple(scale if f == v else 0 for f in free), 0))
+            forms.append((0,) + tuple(scale if f == v else 0 for f in free))
+    tables = [subset_sums(column) for column in zip(*forms)]
+    sums = zip(*([t[Y] for Y, _ in bounds] for t in tables))
 
     reduced = []  # the strict bounds times scale, as integer rows
-    for Y, v in bounds:
-        row = [0] * len(free)
-        const = 0
-        for u in vertices_of(Y):
-            coeffs, k = forms[u]
-            row = [x + y for x, y in zip(row, coeffs)]
-            const += k
+    for (const, *row), (_, v) in zip(sums, bounds):
         reduced.append((row, scale * v - const, True))
         reduced.append(([-x for x in row], const - scale * (v - 1), True))
 
-    assignment_free = _fm_witness(reduced, len(free))
-    if assignment_free is None:
+    point = _fm_point(reduced, len(free))
+    if point is None:
         return None
+    nums, M = point
 
-    values = dict(zip(free, assignment_free))
+    psi = [None] * n
+    for f, x in zip(free, nums):
+        psi[f] = Fraction(x, M)
     for p, (D, a, r) in pivots.items():
-        values[p] = Fraction(r - sum(c * values[f] for f, c in zip(free, a))) / D
-    psi = tuple(values[v] for v in range(n))
-    witness = NumericalPolarization(g, s.chi, psi)
+        psi[p] = Fraction(r * M - sum(map(mul, a, nums)), D * M)
+    witness = NumericalPolarization(g, s.chi, tuple(psi))
     if witness.induced_vstability() != s:
         raise AssertionError("feasible system produced a non-witness; elimination bug")
     return witness
@@ -189,10 +198,30 @@ def _fm_witness(inequalities, nvars):
 
     Each row ``(coeffs, bound, strict)`` means coeffs . x < bound, or <= when
     not strict, with integer coefficients and an int or Fraction bound.
+    The work is :func:`_fm_point`'s, in integers; the Fractions are built
+    only from its numerators and common denominator.
+    """
+    point = _fm_point(inequalities, nvars)
+    if point is None:
+        return None
+    nums, M = point
+    return [Fraction(x, M) for x in nums]
+
+
+def _fm_point(inequalities, nvars):
+    """The point of :func:`_fm_witness` as ``(numerators, M)``: entry i is
+    numerators[i] / M; None when the system is infeasible.
+
     Rows are kept as primitive integer keys, each with the tightest bound
     seen as a reduced (num, den) pair.  Variables are eliminated in index
     order; at each stage the live inequality set is recorded so the witness
-    can be back-substituted with interval midpoints.
+    can be back-substituted with interval midpoints.  The back-substitution
+    runs on one common denominator M: with the later variables known as
+    numerators N_i, a row's bound on its variable is
+    (num*M - den*sum k_i*N_i) / (den*M*c), compared with the others by
+    cross-multiplication.  M grows by the reduced denominator of a new value
+    only when that does not divide it, so M stays the least common
+    denominator of the values found.
     """
     live = {}
     for row, rhs, strict in inequalities:
@@ -220,36 +249,50 @@ def _fm_witness(inequalities, nvars):
                     return None
         current = list(live.items())
 
-    values = [Fraction(0)] * nvars
+    # the values are nums / M; the unassigned entries (this variable and
+    # the earlier ones) are 0, so a row's full dot product with nums is the
+    # sum over the later variables
+    nums = [0] * nvars
+    M = 1
     for var in range(nvars - 1, -1, -1):
-        lo = hi = None
+        # a bound t = p / (q * M) with q > 0, kept as the pair (p, q)
+        lo_p = lo_q = hi_p = hi_q = None
         lo_strict = hi_strict = False
         for k, (num, den, st) in stages[var]:
             c = k[var]
             if c == 0:
                 continue
-            t = (Fraction(num, den) - sum(k[i] * values[i] for i in range(var + 1, nvars))) / c
+            p = num * M - den * sum(map(mul, k, nums))
             if c > 0:
-                if hi is None or t < hi:
-                    hi, hi_strict = t, st
-                elif t == hi:
+                q = den * c
+                if hi_q is None or p * hi_q < hi_p * q:
+                    hi_p, hi_q, hi_strict = p, q, st
+                elif p * hi_q == hi_p * q:
                     hi_strict = hi_strict or st
             else:
-                if lo is None or t > lo:
-                    lo, lo_strict = t, st
-                elif t == lo:
+                p, q = -p, -den * c
+                if lo_q is None or p * lo_q > lo_p * q:
+                    lo_p, lo_q, lo_strict = p, q, st
+                elif p * lo_q == lo_p * q:
                     lo_strict = lo_strict or st
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        if lo_q is not None and hi_q is not None:
+            lo_x, hi_x = lo_p * hi_q, hi_p * lo_q
+            if lo_x > hi_x or (lo_x == hi_x and (lo_strict or hi_strict)):
                 raise AssertionError("empty interval after elimination; FM bug")
-            values[var] = (lo + hi) / 2
-        elif lo is not None:
-            values[var] = lo + 1
-        elif hi is not None:
-            values[var] = hi - 1
+            p, q = lo_x + hi_x, 2 * lo_q * hi_q   # the midpoint
+        elif lo_q is not None:
+            p, q = lo_p + lo_q * M, lo_q           # lo + 1
+        elif hi_q is not None:
+            p, q = hi_p - hi_q * M, hi_q           # hi - 1
         else:
-            values[var] = Fraction(0)
-    return values
+            continue                               # 0
+        h = gcd(p, q)
+        if h != q:
+            q //= h
+            M *= q
+            nums = [x * q for x in nums]
+        nums[var] = p // h
+    return nums, M
 
 
 def _admit(live, row, num, den, strict) -> bool:

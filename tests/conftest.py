@@ -89,6 +89,28 @@ def k4_plus_path2():
     return DualGraph((0,) * 6, k4().edges + ((3, 4), (4, 5)))
 
 
+def k33_minus_edge():
+    """K_{3,3} on {0,4,5} and {1,2,3} without the edge 3-5: 16 of its 504
+    general orbits are not classical."""
+    return DualGraph((0,) * 6, ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
+                                (2, 4), (2, 5), (3, 4)))
+
+
+def k24():
+    """K_{2,4} on {0,5} and {1,2,3,4}: 220 of its 990 general orbits are
+    not classical."""
+    return DualGraph((0,) * 6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5),
+                                (2, 5), (3, 5), (4, 5)))
+
+
+# the first (in values order) general orbit of k33_minus_edge that is not
+# classical, chi = 0, one value per biconnected subcurve in table order
+K33_MINUS_EDGE_NONCLASSICAL = (
+    -2, 0, -2, 1, -1, 1, -1, -2, 0, 1, 1, 2, 2, -1, 2, -1, 2, 0, 0,
+    1, 1, -1, 2, -1, 2, -1, -1, 0, 0, 1, 3, 2, 0, 2, 0, 3, 1, 3,
+)
+
+
 def genus_decorated():
     """Banana with genera and a loop, for chi bookkeeping."""
     return DualGraph((1, 2), ((0, 1), (0, 1), (1, 1)))

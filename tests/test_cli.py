@@ -24,7 +24,15 @@ from vstab.serialize import (
     stability_to_json,
 )
 
-from conftest import banana, cycle5, k4, k5, triangle
+from conftest import (
+    K33_MINUS_EDGE_NONCLASSICAL,
+    banana,
+    cycle5,
+    k4,
+    k5,
+    k33_minus_edge,
+    triangle,
+)
 
 HUGE = 10 ** 30     # a vertex index whose mask bit would not fit in memory
 
@@ -247,6 +255,18 @@ class TestVerdictCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classical"] is True
         assert doc["witness"]["psi"] == [["0", "1"], ["0", "1"]]
+
+    def test_classical_refusal(self, tmp_path, capsys):
+        # a general stability that no polarization induces: exit 1 and the
+        # bare verdict, with no witness, indented as every document is
+        g = k33_minus_edge()
+        s = VStability(g, 0, K33_MINUS_EDGE_NONCLASSICAL)
+        graph, stability = tmp_path / "graph.json", tmp_path / "stability.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        stability.write_text(json.dumps(stability_to_json(s)))
+        code = main(["classical", "--graph", str(graph), "--stability", str(stability)])
+        assert code == 1
+        assert capsys.readouterr().out == '{\n  "classical": false\n}\n'
 
     def test_semistable_enumeration(self, banana_files, capsys):
         graph, stability = banana_files

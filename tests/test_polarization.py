@@ -11,22 +11,26 @@ from vstab import (
     is_classical,
     translate_polarization,
 )
-from vstab.errors import InvalidPolarization, InvalidStability
+from vstab.errors import DomainMismatch, InvalidPolarization, InvalidStability
 from vstab.graphenum import connected_multigraphs
 from vstab.polarization import _fm_witness
 from vstab.posets import enumerate_orbits, translate
 from vstab.stability import VStability
 
 from conftest import (
+    K33_MINUS_EDGE_NONCLASSICAL,
     LADDER,
     banana,
     cycle4,
     cycle5,
     k4,
+    k24,
+    k33_minus_edge,
     oracle_ceiling,
     oracle_fm_witness,
     oracle_is_classical,
     path3,
+    time_bound,
     triangle,
 )
 
@@ -49,6 +53,15 @@ class TestValueOn:
         p = NumericalPolarization(triangle(), 1, (Fraction(1, 3),) * 3)
         assert p.value_on(0) == 0
         assert p.value_on(0b111) == 1
+
+    def test_mask_out_of_range(self):
+        # 8 once raised a bare IndexError and -1 a ValueError; a mask of a
+        # million bits was walked bit by bit before failing
+        p = NumericalPolarization(triangle(), 1, (Fraction(1, 3),) * 3)
+        with time_bound(5):
+            for Y in (8, -1, 1 << 10**6):
+                with pytest.raises(DomainMismatch, match=r"0\.\.7"):
+                    p.value_on(Y)
 
     def test_total_mismatch_rejected(self):
         with pytest.raises(InvalidPolarization):
@@ -163,9 +176,36 @@ class TestClassicalDetection:
                 assert w.induced_vstability() == s
 
 
+class TestClassicalExceptions:
+    """Two graphs of six components and eight edges whose general orbits
+    are not all classical; the classical counts equal the regions of the
+    toric arrangement of their biconnected characters."""
+
+    @pytest.mark.parametrize("make, general, classical", [
+        (k33_minus_edge, 504, 488),
+        (k24, 990, 770),
+    ], ids=["k33_minus_edge", "k24"])
+    def test_counts(self, make, general, classical):
+        orbits = [s for s in enumerate_orbits(make()) if s.is_general()]
+        found = sum(is_classical(s) is not None for s in orbits)
+        assert (len(orbits), found) == (general, classical)
+
+    def test_matches_oracle(self):
+        # the oracle takes about 7 ms a stability here, so the 16
+        # non-classical general orbits and a seeded sample of the rest
+        orbits = enumerate_orbits(k33_minus_edge())
+        refused = [s for s in orbits if s.is_general() and is_classical(s) is None]
+        assert len(refused) == 16
+        assert refused[0].values == K33_MINUS_EDGE_NONCLASSICAL
+        rest = [s for s in orbits if not any(s is r for r in refused)]
+        for s in refused + random.Random(18).sample(rest, 50):
+            TestMatchesOracles.check(s)
+
+
 class TestEliminationCore:
-    # the infeasible branch never fires on valid small-graph stabilities,
-    # so the elimination engine is pinned directly
+    # the infeasible branch never fires on valid small-graph stabilities
+    # (TestClassicalExceptions has the first graphs where it does), so the
+    # elimination engine is pinned directly
 
     def test_strict_cycle_infeasible(self):
         from vstab.polarization import _fm_witness
@@ -335,6 +375,38 @@ def test_fm_witness_matches_oracle(nvars, rows):
     out = _fm_witness(system, nvars)
     assert out == oracle_fm_witness(system, nvars)
     if out is not None:
+        for coeffs, bound, strict in system:
+            lhs = sum(c * x for c, x in zip(coeffs, out))
+            assert lhs < bound if strict else lhs <= bound
+
+
+# four or five variables with bounds over denominators up to 7, so that the
+# back-substitution's common denominator is rescaled at several stages (in
+# about two thirds of the examples); more rows let the elimination blow up
+_WIDE_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+        st.booleans(),
+    ),
+    min_size=4,
+    max_size=7,
+)
+
+
+@given(st.integers(4, 5), _WIDE_ROWS)
+# the witness (1/14, 1/10, 1/6, 1/3) takes a new denominator at every stage
+@example(4, [((1, 0, 0, 0, 0), Fraction(1, 7), True), ((-1, 0, 0, 0, 0), Fraction(0), True),
+             ((0, 1, 0, 0, 0), Fraction(1, 5), True), ((0, -1, 0, 0, 0), Fraction(0), True),
+             ((0, 0, 1, 1, 0), Fraction(2, 3), True), ((0, 0, -1, 0, 0), Fraction(0), True),
+             ((0, 0, 0, -1, 0), Fraction(0), True)])
+@settings(max_examples=200, deadline=None)
+def test_fm_witness_rescales_common_denominator(nvars, rows):
+    system = [(tuple(coeffs[:nvars]), bound, strict) for coeffs, bound, strict in rows]
+    out = _fm_witness(system, nvars)
+    assert out == oracle_fm_witness(system, nvars)
+    if out is not None:
+        assert all(isinstance(x, Fraction) for x in out)
         for coeffs, bound, strict in system:
             lhs = sum(c * x for c, x in zip(coeffs, out))
             assert lhs < bound if strict else lhs <= bound
