@@ -28,9 +28,10 @@ Edge = tuple[int, int]
 
 def vertices_of(mask: int) -> list[int]:
     """Vertex indices contained in a subcurve mask, ascending; a negative
-    mask has infinitely many bits and raises ValueError."""
+    mask has infinitely many bits and raises ValueError (the mask is not
+    shown: a huge int has no decimal string)."""
     if mask < 0:
-        raise ValueError(f"a subcurve mask is non-negative, got {mask}")
+        raise ValueError("a subcurve mask is non-negative")
     out = []
     v = 0
     while mask:
@@ -198,6 +199,14 @@ class DualGraph:
 
     def complement(self, Y: int) -> int:
         return self.full_mask ^ Y
+
+    def check_mask(self, Y: int, low: int = 0, what: str = "a subcurve") -> int:
+        """Y, if it is a subcurve mask in low..full_mask; else
+        ``DomainMismatch``, whose message names the range and not the mask:
+        a huge int has no decimal string."""
+        if not low <= Y <= self.full_mask:
+            raise DomainMismatch(f"{what} is not a mask in {low}..{self.full_mask}")
+        return Y
 
     # -- connectivity -----------------------------------------------------
 
@@ -460,7 +469,8 @@ class DualGraph:
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All vertex permutations preserving genera and the edge multiset.
 
-        Brute force over permutations; fine at n <= 7.
+        Brute force over permutations; fine up to the CLI's bound of n <= 8
+        (``cli.MAX_SYMMETRY_VERTICES``).
         """
         out = []
         canonical = self.edges

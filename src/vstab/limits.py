@@ -38,16 +38,13 @@ def twist(g: DualGraph, d, Y: int) -> Multidegree:
     """Chip-firing twist by a subcurve: degree rises on Y by its outward
     valence, falls outside accordingly.  Twisting by the whole curve or by
     nothing is the identity."""
-    if not 0 <= Y <= g.full_mask:
-        raise DomainMismatch(f"subcurve {Y!r} is not a mask in 0..{g.full_mask}")
-    return tuple(map(add, _multidegree(g, d), g.twist_deltas[Y]))
+    return tuple(map(add, _multidegree(g, d), g.twist_deltas[g.check_mask(Y)]))
 
 
 def line_bundle_chi(g: DualGraph, d, Z: int) -> int:
     """chi of the restriction to Z of the line bundle with multidegree d."""
-    if not 0 <= Z <= g.full_mask:
-        raise DomainMismatch(f"subcurve {Z!r} is not a mask in 0..{g.full_mask}")
-    return g.line_chi_base[Z] + sum(d[v] for v in vertices_of(Z))
+    d = _multidegree(g, d)
+    return g.line_chi_base[g.check_mask(Z)] + sum(d[v] for v in vertices_of(Z))
 
 
 def beta(d, s: VStability, Z: int) -> int:
@@ -88,10 +85,9 @@ def twisting_subcurve(d, s: VStability, start: int = None) -> int:
     g = s.graph
     d = _multidegree(g, d)
     s._require_valid()
-    if start is not None and (type(start) is not int or not 0 < start <= g.full_mask):
-        raise DomainMismatch(
-            f"the starting subcurve must be a mask in 1..{g.full_mask}, got {start!r}"
-        )
+    if start is not None:
+        exact_ints((start,), "the starting subcurve", DomainMismatch)
+        g.check_mask(start, 1, "the starting subcurve")
     betas0 = _beta_all(g, d, extended_value_table(s))
     m0 = min(betas0)
     if start is None:

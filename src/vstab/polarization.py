@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .errors import DomainMismatch, InvalidPolarization, InvalidStability
+from .errors import InvalidPolarization, InvalidStability
 from .graphs import DualGraph, exact_ints, solve_equalities, subset_sums, vertices_of
 from .stability import VStability
 
@@ -62,10 +62,7 @@ class NumericalPolarization:
     def value_on(self, Y: int) -> Fraction:
         """psi_Y, the sum over the components of the mask Y; 0 on the empty
         mask, and ``DomainMismatch`` outside 0..full_mask."""
-        full = self.graph.full_mask
-        if not 0 <= Y <= full:
-            # the mask is not shown: a huge int has no decimal string
-            raise DomainMismatch(f"a subcurve mask is in 0..{full}")
+        Y = self.graph.check_mask(Y)
         return sum((self.psi[v] for v in vertices_of(Y)), Fraction(0))
 
     def induced_vstability(self) -> VStability:
@@ -127,8 +124,13 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
     """Witness polarization with ceiling s, or None if none exists.
 
     Feasibility system in the per-component values: one equality for the
-    total, an equality psi_Y = s_Y for each degenerate Y, and strict bounds
-    s_Y - 1 < psi_Y < s_Y for each nondegenerate Y.  The equalities are
+    total, and one row set per complementary pair (Y, Y^c) of
+    ``bcon_pairs``: the equality psi_Y = s_Y when the pair is degenerate
+    (:attr:`VStability.degenerate`), else the strict bounds
+    s_Y - 1 < psi_Y < s_Y.  The complement's rows would repeat these: its
+    equality is the total minus Y's, and s_{Y^c} = chi + 1 - s_Y turns its
+    bounds into Y's, so the solved forms and the eliminated row set, and
+    with them the witness, are the same without them.  The equalities are
     solved by fraction-free Gauss-Jordan elimination; the bounds, rewritten
     in the free variables, are integer rows, decided by exact
     Fourier-Motzkin elimination tracking strict vs. weak inequalities.
@@ -140,15 +142,14 @@ def is_classical(s: VStability) -> Optional[NumericalPolarization]:
         raise InvalidStability("classical detection requires a valid V-stability")
     g = s.graph
     n = g.n
-    value = s.as_dict()
 
     equalities = [((1,) * n, s.chi)]
-    bounds = []  # (Y, s_Y) for each nondegenerate Y
-    for Y in g.biconnected_subcurves:
-        if value[Y] + value[g.complement(Y)] == s.chi:
-            equalities.append((tuple((Y >> v) & 1 for v in range(n)), value[Y]))
+    bounds = []  # (Y, s_Y) for each nondegenerate pair
+    for Y, _ in g.bcon_pairs:
+        if Y in s.degenerate:
+            equalities.append((tuple((Y >> v) & 1 for v in range(n)), s.value(Y)))
         else:
-            bounds.append((Y, value[Y]))
+            bounds.append((Y, s.value(Y)))
 
     solved = solve_equalities(equalities, n)
     if solved is None:

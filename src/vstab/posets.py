@@ -357,10 +357,10 @@ def dominating_stabilities(s: VStability) -> Iterator[VStability]:
     degenerate pair by one; the pair-union rule prunes the bumps."""
     s._require_valid()
     g = s.graph
-    options = [
-        ((a, b), (a + 1, b), (a, b + 1)) if a + b == s.chi else ((a, b),)
-        for a, b in ((s.value(Y), s.value(Yc)) for Y, Yc in g.bcon_pairs)
-    ]
+    options = []
+    for Y, Yc in g.bcon_pairs:
+        a, b = s.value(Y), s.value(Yc)
+        options.append(((a, b), (a + 1, b), (a, b + 1)) if Y in s.degenerate else ((a, b),))
     found = _pair_search(
         g.bcon_pairs, options, g.admissible_pairs,
         partial(_pair_union_rule, g.full_mask, s.chi),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 from .errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
 from .graphs import Contraction, DualGraph, exact_ints, permute_mask, subset_sums
@@ -82,15 +83,25 @@ class VStability:
         return self.values[idx]
 
     def is_degenerate(self, Y: int) -> bool:
-        """Pair-sum test on a biconnected subcurve."""
-        return self.value(Y) + self.value(self.graph.complement(Y)) == self.chi
+        """Membership in :attr:`degenerate`; ``DomainMismatch`` off the
+        biconnected subcurves."""
+        if Y not in self.graph.bcon_index:
+            raise DomainMismatch(f"subcurve {Y:b} is not biconnected")
+        return Y in self.degenerate
+
+    @cached_property
+    def degenerate(self) -> frozenset[int]:
+        """The biconnected Y with s_Y + s_{Y^c} = chi, read off the pair-sum
+        table of :meth:`_value_tables`; validity is not required."""
+        return frozenset(compress(count(), self._value_tables()[1]))
 
     # -- validation ---------------------------------------------------------
 
     def _value_tables(self) -> tuple[list[int], list[bool]]:
         """Per-call tables indexed by subcurve mask: the stored value, and
         the pair-sum test for degeneracy (0 and False off the biconnected
-        subcurves)."""
+        subcurves).  This is the one place a stability's pair sums are
+        compared with chi."""
         g = self.graph
         full = g.full_mask
         value = [0] * (full + 1)
@@ -180,11 +191,11 @@ class VStability:
         the child side, by degeneracy.  See :func:`vstab.posets.normal_form`,
         the public entry point."""
         self._require_valid()
-        full = self.graph.full_mask
         tree = self.graph.spanning_tree
-        # target tau-sum over each child subtree
+        # target tau-sum over each child subtree; a child side is degenerate
+        # with its parent side
         tau = tuple(tree.from_subtree_totals(-self.chi, [
-            -self.value(child) + (0 if self.is_degenerate(full ^ child) else 1)
+            -self.value(child) + (0 if child in self.degenerate else 1)
             for child in tree.child_masks
         ]))
         return translate(self, tau), tau
@@ -193,14 +204,11 @@ class VStability:
 
     def degeneracy_set(self) -> "DegeneracySet":
         self._require_valid()
-        members = frozenset(
-            Y for Y in self.graph.biconnected_subcurves if self.is_degenerate(Y)
-        )
-        return DegeneracySet(self.graph, members)
+        return DegeneracySet(self.graph, self.degenerate)
 
     def is_general(self) -> bool:
         self._require_valid()
-        return not any(self.is_degenerate(Y) for Y in self.graph.biconnected_subcurves)
+        return not self.degenerate
 
     @cached_property
     def extended_degeneracy(self) -> frozenset[int]:
@@ -256,7 +264,7 @@ class VStability:
             return table[Y]
         if Y == 0:
             raise EmptySubcurve("the extended V-function needs a nonempty subcurve")
-        raise DomainMismatch(f"subcurve {Y!r} is not a mask in 1..{len(table) - 1}")
+        self.graph.check_mask(Y, 1)   # Y is out of range, so this raises
 
     # -- restriction and pullback ---------------------------------------------
 

@@ -289,6 +289,12 @@ def oracle_line_chi_base(g: DualGraph) -> tuple[int, ...]:
     return tuple(base)
 
 
+def oracle_is_degenerate(s, Y: int) -> bool:
+    """The pair-sum test as written before ``VStability.degenerate``: two
+    ``value`` lookups, s_Y + s_{Y^c} == chi."""
+    return s.value(Y) + s.value(s.graph.complement(Y)) == s.chi
+
+
 def oracle_extended_value(s, Y: int) -> int:
     """The extended V-function on a nonempty subcurve, by recursion over
     its connected pieces."""
@@ -304,7 +310,7 @@ def oracle_extended_value(s, Y: int) -> int:
     total = s.chi
     for Z in g.connected_components(g.complement(Y)):
         total -= s.value(Z)
-        if not s.is_degenerate(Z):
+        if not oracle_is_degenerate(s, Z):
             total += 1
     return total
 
@@ -318,7 +324,7 @@ def oracle_extended_degeneracy(s) -> frozenset[int]:
     out = {full}
     for W in g.connected_subcurves:
         if W != full and all(
-            s.is_degenerate(Z) for Z in g.connected_components(full ^ W)
+            oracle_is_degenerate(s, Z) for Z in g.connected_components(full ^ W)
         ):
             out.add(W)
     return frozenset(out)
@@ -454,7 +460,7 @@ def proper_nonempty(g: DualGraph):
 
 def oracle_validate(s) -> ValidationReport:
     """The triple validator as written before the value tables: one
-    ``value`` and ``is_degenerate`` method call per lookup."""
+    ``value`` call or pair-sum test per lookup."""
     g = s.graph
     out = []
     for Y, Yc in g.bcon_pairs:
@@ -465,7 +471,7 @@ def oracle_validate(s) -> ValidationReport:
                 f"value sum minus chi is {t}, expected 0 or 1",
             ))
     for Y1, Y2, Y3 in g.covering_triples:
-        dgs = [s.is_degenerate(Z) for Z in (Y1, Y2, Y3)]
+        dgs = [oracle_is_degenerate(s, Z) for Z in (Y1, Y2, Y3)]
         ndeg = sum(dgs)
         sigma = s.value(Y1) + s.value(Y2) + s.value(Y3) - s.chi
         if ndeg == 2:
@@ -496,7 +502,7 @@ def oracle_validate_via_union(s) -> ValidationReport:
             ))
     for Y1, Y2, U in g.admissible_pairs:
         delta = s.value(U) - s.value(Y1) - s.value(Y2)
-        d1, d2, dU = (s.is_degenerate(Z) for Z in (Y1, Y2, U))
+        d1, d2, dU = (oracle_is_degenerate(s, Z) for Z in (Y1, Y2, U))
         if d1 or d2:
             expected = (0,)
         elif dU:
@@ -529,7 +535,7 @@ def oracle_is_classical(s):
     inequalities = []
     for Y in g.biconnected_subcurves:
         ind = [1 if (Y >> v) & 1 else 0 for v in range(n)]
-        if s.is_degenerate(Y):
+        if oracle_is_degenerate(s, Y):
             equalities.append((ind, Fraction(s.value(Y))))
         else:
             inequalities.append((ind, Fraction(s.value(Y)), True))

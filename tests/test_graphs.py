@@ -73,7 +73,7 @@ class TestConnectivity:
         with pytest.raises(EmptySubcurve):
             banana().is_connected(0)
 
-    @pytest.mark.parametrize("mask", [-1, -6])
+    @pytest.mark.parametrize("mask", [-1, -6, pytest.param(-(1 << 10**6), id="huge")])
     def test_negative_mask_has_no_vertex_list(self, mask):
         # a negative mask has infinitely many bits; it once looped forever
         with time_bound(2), pytest.raises(ValueError, match="non-negative"):

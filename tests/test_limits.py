@@ -147,10 +147,13 @@ class TestTwistingSubcurve:
         assert twisting_subcurve((-3, 0, 2, 3), s) == g.full_mask
         assert twisting_subcurve((-3, 0, 2, 3), s, start=0b0011) == 0b0011
 
-    @pytest.mark.parametrize("start", [-1, 0, 7, True, 1.0])
+    @pytest.mark.parametrize("start", [
+        -1, 0, 7, True, 1.0, pytest.param(1 << 10**6, id="huge"),
+    ])
     def test_start_outside_the_masks_is_refused(self, start):
-        # -1 once came back as the "subcurve" -1, and 7 raised IndexError
-        with pytest.raises(DomainMismatch, match="starting subcurve"):
+        # -1 once came back as the "subcurve" -1, 7 raised IndexError, and a
+        # mask past 4300 decimal digits raised ValueError from the message
+        with time_bound(2), pytest.raises(DomainMismatch, match="starting subcurve"):
             twisting_subcurve((1, -1), s_banana_zero(), start=start)
 
     def test_start_off_the_minimum_is_refused(self):
@@ -304,9 +307,10 @@ class TestLimitUpToSEquivalence:
 class TestSubcurveRange:
     """A subcurve mask outside 0..full_mask raises DomainMismatch.  On the
     banana, -1 once made line_bundle_chi and beta loop forever and twist
-    wrap round to the whole curve, and 4 raised a bare IndexError."""
+    wrap round to the whole curve, 4 raised a bare IndexError, and a mask
+    past 4300 decimal digits raised ValueError from the message."""
 
-    @pytest.mark.parametrize("Y", [-1, -2, 4, 7])
+    @pytest.mark.parametrize("Y", [-1, -2, 4, 7, pytest.param(1 << 10**6, id="huge")])
     @pytest.mark.parametrize("call", [
         lambda s, Y: twist(s.graph, (1, -1), Y),
         lambda s, Y: line_bundle_chi(s.graph, (1, -1), Y),
@@ -511,7 +515,23 @@ class TestExactIntegers:
         lambda s: beta_deficit((0.5, -0.5), s),
         lambda s: twist(s.graph, (1.5, -1.5), 1),
         lambda s: same_orbit(s.graph, (1, -1), (False, 0)),
-    ], ids=["limit-float", "limit-bool", "deficit", "twist", "same-orbit"])
+        lambda s: line_bundle_chi(s.graph, (1.5, -1.5), 1),
+        lambda s: line_bundle_chi(s.graph, (True, 0), 1),
+        lambda s: beta((0.5, -0.5), s, 1),
+    ], ids=["limit-float", "limit-bool", "deficit", "twist", "same-orbit",
+            "line-bundle-chi-float", "line-bundle-chi-bool", "beta"])
     def test_multidegree(self, call):
+        # line_bundle_chi once returned 2.5 and 2 on the float and bool
         with pytest.raises(TypeError, match="multidegree entry"):
+            call(s_banana_zero())
+
+    @pytest.mark.parametrize("call", [
+        lambda s: line_bundle_chi(s.graph, (1, -1, 7), 1),
+        lambda s: line_bundle_chi(s.graph, (1,), 1),
+        lambda s: beta((1, -1, 7), s, 3),
+        lambda s: twist(s.graph, (1,), 1),
+    ], ids=["line-bundle-chi-long", "line-bundle-chi-short", "beta", "twist"])
+    def test_multidegree_length(self, call):
+        # line_bundle_chi once dropped the 7 and raised a bare IndexError on (1,)
+        with pytest.raises(DomainMismatch, match="one degree per component"):
             call(s_banana_zero())

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -200,6 +201,26 @@ class TestClassicalExceptions:
         rest = [s for s in orbits if not any(s is r for r in refused)]
         for s in refused + random.Random(18).sample(rest, 50):
             TestMatchesOracles.check(s)
+
+
+class TestLadderWitnesses:
+    # sha256 of repr of the witness of every orbit of the ladder, in
+    # enumeration order: psi as (numerator, denominator) strings, None when
+    # not classical; recorded with one row set per biconnected subcurve,
+    # before the rows were taken one complementary pair at a time
+    def test_witness_digest(self):
+        with time_bound(20):
+            witnesses = []
+            for make in LADDER:
+                for s in enumerate_orbits(make()):
+                    w = is_classical(s)
+                    witnesses.append(None if w is None else [
+                        (str(x.numerator), str(x.denominator)) for x in w.psi
+                    ])
+        assert len(witnesses) == 2554
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+            "154b91b1bbeda97b7d13f0be7a872d0cfbce0e5864227f60d0ca1276f60d2b64"
+        )
 
 
 class TestEliminationCore:

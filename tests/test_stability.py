@@ -19,6 +19,7 @@ from conftest import (
     k4,
     oracle_extended_degeneracy,
     oracle_extended_value,
+    oracle_is_degenerate,
     oracle_validate,
     oracle_validate_via_union,
     path3,
@@ -186,6 +187,39 @@ class TestDegeneracy:
             for s in enumerate_window_stabilities(g):
                 DegeneracySet(g, s.degeneracy_set().members)  # closure enforced
 
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_degenerate_set_needs_no_validity(self, make):
+        # perturbed window stabilities: the pair-sum set and is_degenerate
+        # are read before any validation, while degeneracy_set and
+        # is_general still refuse an invalid stability
+        rng = random.Random(make.__name__)
+        g = make()
+        stabs = enumerate_window_stabilities(g)
+        invalid = 0
+        for s in rng.sample(stabs, min(150, len(stabs))):
+            t = _perturbed(s, rng)
+            oracle = [oracle_is_degenerate(t, Y) for Y in g.biconnected_subcurves]
+            assert [t.is_degenerate(Y) for Y in g.biconnected_subcurves] == oracle
+            assert t.degenerate == frozenset(
+                Y for Y, d in zip(g.biconnected_subcurves, oracle) if d
+            )
+            if t.is_valid:
+                assert t.degeneracy_set().members == t.degenerate
+                assert t.is_general() == (not t.degenerate)
+                continue
+            invalid += 1
+            with pytest.raises(InvalidStability):
+                t.degeneracy_set()
+            with pytest.raises(InvalidStability):
+                t.is_general()
+        assert invalid > 0
+
+    @pytest.mark.parametrize("Y", [0, 3, 4, -1])
+    def test_is_degenerate_off_biconnected(self, Y):
+        s = make(banana(), 0, {1: 0, 2: 0})
+        with pytest.raises(DomainMismatch, match="not biconnected"):
+            s.is_degenerate(Y)
+
 
 class TestExtended:
     def test_whole_curve(self):
@@ -209,9 +243,10 @@ class TestExtended:
         with pytest.raises(EmptySubcurve):
             s.extended_value(0)
 
-    @pytest.mark.parametrize("Y", [-1, -3, 4, 5])
+    @pytest.mark.parametrize("Y", [-1, -3, 4, 5, pytest.param(1 << 10**6, id="huge")])
     def test_mask_out_of_range_rejected(self, Y):
-        # -1 once read the whole curve's value and 4 raised a bare IndexError
+        # -1 once read the whole curve's value and 4 raised a bare IndexError;
+        # a mask past 4300 decimal digits raised ValueError from the message
         s = make(banana(), 0, {1: 0, 2: 0})
         with time_bound(2), pytest.raises(DomainMismatch, match="not a mask"):
             s.extended_value(Y)
