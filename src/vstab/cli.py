@@ -2,15 +2,17 @@
 
 Exit codes: 0 for success (and positive verdicts), 1 for a negative
 domain verdict (invalid stability, non-classical, ...), 2 for malformed
-input.  Output is canonical JSON by default; posets can also be emitted
-as DOT or a plain table.  Identical inputs and configuration give
-byte-identical output.
+input, and 141 (128 + SIGPIPE, as a shell reports a command that a
+signal ended) when the reader of stdout closed it early.  Output is
+canonical JSON by default; posets can also be emitted as DOT or a plain
+table.  Identical inputs and configuration give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import graphenum, limits, polarization, posets, serialize, sheaves
@@ -22,6 +24,7 @@ from .stability import VStability
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 # The most edge multisets one qdeg-scan may walk (graphenum.walk_size),
 # checked before the walk starts.  It admits every scan with n <= 6 up to
@@ -446,7 +449,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the interpreter flushes stdout once more at
+        # exit, so point it at devnull, where the rest of the buffer goes
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ValueError as exc:   # SchemaError included
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -201,10 +201,11 @@ class DualGraph:
         return self.full_mask ^ Y
 
     def check_mask(self, Y: int, low: int = 0, what: str = "a subcurve") -> int:
-        """Y, if it is a subcurve mask in low..full_mask; else
-        ``DomainMismatch``, whose message names the range and not the mask:
-        a huge int has no decimal string."""
-        if not low <= Y <= self.full_mask:
+        """Y, if it is an exact int (:func:`exact_ints`) and a subcurve mask
+        in low..full_mask; else ``DomainMismatch``, whose message names the
+        range and not the mask: a huge int has no decimal string."""
+        if type(Y) is not int or not low <= Y <= self.full_mask:
+            exact_ints((Y,), what, DomainMismatch)
             raise DomainMismatch(f"{what} is not a mask in {low}..{self.full_mask}")
         return Y
 

@@ -86,7 +86,6 @@ def twisting_subcurve(d, s: VStability, start: int = None) -> int:
     d = _multidegree(g, d)
     s._require_valid()
     if start is not None:
-        exact_ints((start,), "the starting subcurve", DomainMismatch)
         g.check_mask(start, 1, "the starting subcurve")
     betas0 = _beta_all(g, d, extended_value_table(s))
     m0 = min(betas0)

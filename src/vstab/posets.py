@@ -12,11 +12,14 @@ bitmask of that depth's options for which it holds, computed once for
 each choice of options on its earlier pairs and kept; a node ANDs its
 rows and tries the surviving options in order, so the output order is
 that of the plain nested loop.  The walk is iterative and yields one live
-assignment, which callers read at once.  The dominance order is decided
-by the first witness subset E.  Orbit enumeration lists the window
-stabilities with the tree-cut pattern, each of which is its own normal
-form.  The evidence scanner decides rankedness by one ascending sweep of
-ranks over the Hasse covers.
+assignment, which callers read at once.  Dominance is downward closed in
+its upper argument (the restriction lemma in ``deg_leq``), so a set that
+dominates the top subset, decided once per set, dominates every set
+containing it; any other included pair is decided by its first witness
+subset E.  Orbit enumeration lists the window stabilities with the
+tree-cut pattern, each of which is its own normal form.  The evidence
+scanner decides rankedness by one ascending sweep of ranks over the Hasse
+covers.
 """
 
 from __future__ import annotations
@@ -232,8 +235,20 @@ def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[in
 
 
 def deg_leq(D1: DegeneracySet, D2: DegeneracySet) -> bool:
-    """Dominance D1 >= D2 (strictly stronger than inclusion D1 <= D2)."""
-    return deg_witness(D1, D2) is not None
+    """Dominance D1 >= D2 (strictly stronger than inclusion D1 <= D2).
+
+    Dominance is downward closed in D2 (the restriction lemma): if E
+    witnesses D1 >= D2 and D1 <= D' <= D2, then E & (D' - D1) witnesses
+    D1 >= D'.  Proof: it picks one side of each complementary pair of
+    D' - D1, since D1 and D' are closed under complement; and every pair or
+    covering triple inside D' - D1 lies inside D2 - D1, where E meets it
+    as required, on members that E & (D' - D1) keeps.  So a D1 that
+    dominates the top subset (:attr:`DegeneracySet.dominates_top`, one
+    search per set) dominates every D2 containing it, and only the other
+    included pairs are searched."""
+    if not D1.members <= D2.members or D1.graph != D2.graph:
+        return False
+    return D1.dominates_top or deg_witness(D1, D2) is not None
 
 
 def deg_witness(D1: DegeneracySet, D2: DegeneracySet) -> Optional[frozenset[int]]:

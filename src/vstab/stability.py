@@ -40,6 +40,13 @@ class ValidationReport:
         return not self.violations
 
 
+def _refuse_subcurve(Y):
+    """``DomainMismatch`` for a subcurve that is not an exact int (``True``
+    would pass for 1 as a dict key) or not biconnected."""
+    exact_ints((Y,), "a subcurve", DomainMismatch)
+    raise DomainMismatch(f"subcurve {Y:b} is not biconnected")
+
+
 @dataclass(frozen=True)
 class VStability:
     """Integer assignment on biconnected subcurves, of characteristic chi.
@@ -78,15 +85,15 @@ class VStability:
 
     def value(self, Y: int) -> int:
         idx = self.graph.bcon_index.get(Y)
-        if idx is None:
-            raise DomainMismatch(f"subcurve {Y:b} is not biconnected")
+        if idx is None or type(Y) is not int:
+            _refuse_subcurve(Y)
         return self.values[idx]
 
     def is_degenerate(self, Y: int) -> bool:
         """Membership in :attr:`degenerate`; ``DomainMismatch`` off the
         biconnected subcurves."""
-        if Y not in self.graph.bcon_index:
-            raise DomainMismatch(f"subcurve {Y:b} is not biconnected")
+        if Y not in self.graph.bcon_index or type(Y) is not int:
+            _refuse_subcurve(Y)
         return Y in self.degenerate
 
     @cached_property
@@ -260,11 +267,11 @@ class VStability:
         """Value of the extended V-function on any nonempty subcurve, read
         from :attr:`extended_values`; validity is not required."""
         table = self.extended_values
-        if 0 < Y < len(table):
+        if type(Y) is int and 0 < Y < len(table):
             return table[Y]
-        if Y == 0:
+        if Y == 0 and type(Y) is int:
             raise EmptySubcurve("the extended V-function needs a nonempty subcurve")
-        self.graph.check_mask(Y, 1)   # Y is out of range, so this raises
+        self.graph.check_mask(Y, 1)   # Y is not an int or out of range, so this raises
 
     # -- restriction and pullback ---------------------------------------------
 
@@ -321,6 +328,7 @@ class DegeneracySet:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
+        exact_ints(self.members, "a member", DomainMismatch)
         if not self.members <= self.graph.bcon_index.keys():
             raise DomainMismatch("members must be biconnected subcurves")
         full = self.graph.full_mask
@@ -338,6 +346,17 @@ class DegeneracySet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def dominates_top(self) -> bool:
+        """Whether this set dominates the top degeneracy subset, the set of
+        all biconnected subcurves, decided once by one witness search.  By
+        the restriction lemma (:func:`vstab.posets.deg_leq`) it then
+        dominates every degeneracy subset that contains it."""
+        from .posets import deg_witness   # posets imports this module
+
+        top = DegeneracySet(self.graph, frozenset(self.graph.biconnected_subcurves))
+        return deg_witness(self, top) is not None
 
 
 def extended_value_table(s: VStability) -> list[int]:

@@ -550,6 +550,7 @@ def test_criterion_03_complement_degeneracy_as_stated():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_04_ceiling_suite():
     t0 = time.time()
     rng = random.Random(4)
@@ -674,6 +675,7 @@ def test_criterion_06_normal_form():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_semistability_suite():
     t0 = time.time()
     checked = 0
@@ -776,6 +778,7 @@ def test_criterion_07_semistability_suite():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_jordan_holder():
     t0 = time.time()
     checked = 0
@@ -832,6 +835,7 @@ LIMIT_FAMILY_5 = SHEAF_FAMILY_4 + [
 LIMIT_TRACE_DIGEST = "b6f911030c3440b58056c9050835422bb1da4145c5d5e99fd40a4c3e4b2c02c4"
 
 
+@pytest.mark.slow
 def test_criterion_09_limit_algorithm():
     t0 = time.time()
     runs = 0

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import vstab
 from vstab import DualGraph, SheafData, VStability, cli
 from vstab.cli import main
 from vstab.posets import (
@@ -438,6 +443,26 @@ class TestScanCommand:
         assert all(r["degeneracy_map_surjective"] for r in lines)
         banana_row = next(r for r in lines if r["edges"] == [[0, 1], [0, 1]])
         assert banana_row["ranked"] is True and banana_row["rank"] == 1
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_141_without_traceback(self, tmp_path):
+        # the K5 orbit document (3.7 MB) overfills the pipe, so the writer
+        # is still writing when the reader goes; it once exited 1 with a
+        # BrokenPipeError traceback
+        graph = tmp_path / "k5.json"
+        graph.write_text(json.dumps(graph_to_json(k5())))
+        env = dict(os.environ, PYTHONPATH=str(Path(vstab.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vstab", "enum-orbits", "--graph", str(graph)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert b"Traceback" not in err
 
 
 class TestDeterminism:

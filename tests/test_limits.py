@@ -320,6 +320,17 @@ class TestSubcurveRange:
         with time_bound(2), pytest.raises(DomainMismatch, match="not a mask"):
             call(s_banana_zero(), Y)
 
+    # True once twisted by subcurve 1, and 1.5 raised a bare TypeError
+    @pytest.mark.parametrize("Y", [True, 1.5])
+    @pytest.mark.parametrize("call", [
+        lambda s, Y: twist(s.graph, (1, -1), Y),
+        lambda s, Y: line_bundle_chi(s.graph, (1, -1), Y),
+        lambda s, Y: beta((1, -1), s, Y),
+    ], ids=["twist", "line-bundle-chi", "beta"])
+    def test_not_an_int(self, call, Y):
+        with pytest.raises(DomainMismatch, match="a subcurve must be an int"):
+            call(s_banana_zero(), Y)
+
     def test_range_ends_are_subcurves(self):
         s = s_banana_zero()
         g = s.graph

@@ -393,6 +393,43 @@ class TestDegOrder:
         assert six.members < full.members
         assert not deg_leq(six, full)
 
+    def test_restriction_of_a_witness_is_a_witness(self):
+        # the restriction lemma deg_leq's shortcut rests on, by the search
+        # and the independent checker: if E witnesses D1 >= D2, then
+        # E & (D' - D1) witnesses D1 >= D' for every D' from D1 to D2
+        checked = 0
+        for g in [k4(), cycle5()] + connected_multigraphs(4, 6):
+            degs = enumerate_degeneracy_subsets(g)
+            for D1 in degs:
+                above = [D for D in degs if D1.members <= D.members]
+                for D2 in above:
+                    E = deg_witness(D1, D2)
+                    if E is None:
+                        continue
+                    for D in above:
+                        if D.members <= D2.members:
+                            assert check_deg_witness(D1, D, E & (D.members - D1.members))
+                            checked += 1
+        assert checked == 5567
+
+    def test_dominance_matches_the_search(self):
+        # deg_leq, with its inclusion test and top-dominance shortcut,
+        # against one witness search per ordered pair
+        for graphs, pairs, true in [
+            (connected_multigraphs(5, 7), 112610, 22623),
+            ([k5()], 137 ** 2, 1263),
+            ([cycle6()], 203 ** 2, 2471),
+        ]:
+            seen = dominant = 0
+            for g in graphs:
+                degs = enumerate_degeneracy_subsets(g)
+                for a, b in itertools.product(degs, repeat=2):
+                    found = deg_witness(a, b) is not None
+                    assert deg_leq(a, b) == found
+                    seen += 1
+                    dominant += found
+            assert (seen, dominant) == (pairs, true)
+
     def test_stronger_than_inclusion(self):
         # dominance implies inclusion by construction
         g = k4()

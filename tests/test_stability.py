@@ -49,6 +49,27 @@ class TestExactIntegers:
         with pytest.raises(TypeError, match="translation entry"):
             translate(VStability(banana(), 0, (0, 0)), (0.5, 0))
 
+    # a float subcurve once failed formatting the message, and True read
+    # subcurve 1 (it is equal to 1 and hashes like it)
+    @pytest.mark.parametrize("call, Y", [
+        ("value", 1.5),
+        ("is_degenerate", 1.5),
+        ("value", True),
+        ("is_degenerate", True),
+        ("extended_value", True),
+        ("extended_value", 1.5),
+        ("extended_value", 0.0),
+    ])
+    def test_subcurve_argument(self, call, Y):
+        s = VStability(banana(), 0, (0, 0))
+        with pytest.raises(DomainMismatch, match="a subcurve must be an int"):
+            getattr(s, call)(Y)
+
+    @pytest.mark.parametrize("members", [{True, 2}, {1.0, 2}, {1, 2.0}])
+    def test_degeneracy_set_members(self, members):
+        with pytest.raises(DomainMismatch, match="a member must be an int"):
+            DegeneracySet(banana(), members)
+
 
 class TestValidate:
     def test_banana_degenerate_ok(self):
