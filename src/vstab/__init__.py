@@ -68,6 +68,7 @@ from .sheaves import (
     is_semistable,
     is_stable,
     polystable_limit,
+    semistable_line_bundles,
     stable_summands,
 )
 from .stability import DegeneracySet, ValidationReport, Violation, VStability, pullback

@@ -71,17 +71,17 @@ MAX_SYMMETRY_VERTICES = 8
 MAX_LIMIT_DEGREE = 5000
 MAX_LIMIT_WORK = MAX_LIMIT_DEGREE * 4 ** 5
 
-# The most candidate sheaves `semistable --window W` may test (_window_work),
-# checked before the enumeration: 2**|E| (2W+1)**(n-1) on the full support;
-# with --all-supports, 2**e (2W+1)**(k-1) summed over the supports of k
-# components with e internal edges.  That counts the whole box of degree
-# vectors, but the search only meets each forced degree window with
-# [-W, W], so the count is a conservative upper bound.  It admits W <= 55
-# on the triangle, 5 on K4, 3 on C5 and 12499 on the banana, with or
-# without --all-supports.  At the bound, on the first orbit of each, these took
-# (CPU time, Python 3.11.7, one core of a 2-vCPU box, 27 MB peak RSS):
-# triangle 0.006 s, K4 0.10 s, C5 0.07 s, banana 0.005 s; with
-# --all-supports 0.007, 0.11, 0.07 and 0.005 s.
+# The largest box of sheaf classes `semistable --window W` may span
+# (_window_work), checked before the enumeration: 2**|E| (2W+1)**(n-1) on
+# the full support; with --all-supports, 2**e (2W+1)**(k-1) summed over the
+# supports of k components with e internal edges.  The enumeration tests
+# no candidate, it builds the classes by cubes from line bundles searched
+# within the forced windows, so this bounds the box, not the work.  It
+# admits W <= 55 on the triangle, 5 on K4, 3 on C5 and 12499 on the banana,
+# with or without --all-supports.  At the bound, on the first orbit of each,
+# these took (CPU time, Python 3.11.7, one core of a 2-vCPU box, 27 MB peak
+# RSS): triangle 0.004 s, K4 0.009 s, C5 0.004 s, banana 0.004 s; with
+# --all-supports 0.003, 0.011, 0.008 and 0.005 s.
 MAX_WINDOW_WORK = 100_000
 
 
@@ -110,8 +110,8 @@ def _check_symmetry_size(g: DualGraph) -> None:
 
 
 def _window_work(g: DualGraph, window: int, all_supports: bool) -> int:
-    """The most (non-free node set, multidegree) pairs `semistable --window`
-    tests: on a support of k components with e internal edges, 2**e node
+    """The (non-free node set, multidegree) pairs in the box of `semistable
+    --window`: on a support of k components with e internal edges, 2**e node
     sets times (2W+1)**(k-1) degree vectors of the forced sum, on the full
     support alone or summed over every support."""
     side = 2 * window + 1
@@ -305,7 +305,7 @@ def cmd_semistable(args) -> int:
         work = _window_work(g, args.window, args.all_supports)
         if work > MAX_WINDOW_WORK:
             raise ValueError(
-                f"--window {args.window}: up to {work} candidate sheaves on "
+                f"--window {args.window}: a box of {work} sheaf classes on "
                 f"{g.n} components, more than {MAX_WINDOW_WORK} for one enumeration"
             )
     classes = sheaves.enumerate_semistable(

@@ -615,7 +615,7 @@ def qdeg_scan(g: DualGraph) -> dict:
         is_po = True
         ranked, rank = _all_maximal_chains_equal(k, diagram.covers)
     reps = enumerate_orbits(g)
-    realized = {s.degeneracy_set().members for s in reps}
+    realized = {s.degenerate for s in reps}   # valid: enumerate_orbits checked each
     surjective = {d.members for d in degs} <= realized
     return {
         "genera": list(g.genera),

@@ -16,6 +16,12 @@ multidegree on the partial normalization, so
 It is pinned by two identities checked in the test suite: the structure
 sheaf has chi = 1 - g, and chi is additive across the restriction/subsheaf
 exact sequence.
+
+The semistable classes are enumerated by cubes: a class is semistable iff
+every line bundle obtained by giving each non-free node's degree to one of
+its endpoints is (the strata of a fine compactified Jacobian,
+Melo-Viviani), so each support's classes are built level by level over
+the non-free sets from its semistable line bundles.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     NotSemistable,
 )
 from .graphs import (DualGraph, adjacency_masks, component_of, components, exact_ints,
-                     vertices_of)
+                     subset_sums, vertices_of)
 from .stability import VStability
 
 
@@ -399,6 +405,18 @@ def extension_glue(
 # -- enumeration -------------------------------------------------------------------
 
 
+def semistable_line_bundles(s: VStability, support: int) -> list[SheafData]:
+    """The semistable sheaves on ``support`` with no non-free node, in
+    lexicographic order of the degrees: level 0 of
+    :func:`enumerate_semistable`."""
+    s._require_valid()
+    g = s.graph
+    g.check_mask(support, 1, "a support")
+    verts = vertices_of(support)
+    return [_sheaf(g, support, verts, d, frozenset())
+            for d in _line_bundles(s, support, None)]
+
+
 def enumerate_semistable(
     g: DualGraph,
     s: VStability,
@@ -406,41 +424,93 @@ def enumerate_semistable(
     full_support_only: bool = False,
     degree_window: Optional[int] = None,
 ) -> list[SheafData]:
-    """All semistable sheaf classes of characteristic |s|.
+    """All semistable sheaf classes of characteristic |s|: per support
+    (ascending), per non-free set N (a bitmask over the positions in
+    ``g.internal_edges(support)``, ascending), the degrees d in
+    lexicographic order; ``degree_window`` W keeps those in [-W, W].
 
-    Degrees are confined, per supported component, to the window forced by
-    the semistability inequalities (chi on the component between the
-    extended value and the extended value plus the boundary valence);
-    these are complete, so ``degree_window`` W narrows each to [-W, W].
-
-    Each candidate's degrees sum to the support's extended value (its chi
-    target, additive over components) minus its ``line_chi_base`` and
-    non-free count, and ``is_semistable``, the only test, also asks chi to
-    equal the extended value on each support component.
+    Built by cubes from the support's line bundles.  A lift of (N, d) is
+    the line bundle d plus 1 at one chosen endpoint of each e in N.  For Z
+    inside the support, chi(I|_Z) = line_chi_base[Z] + d(Z) + |N meet
+    E(Z)|; a lift has at least that chi on Z, with equality when each e in
+    N crossing out of Z takes its endpoint outside Z.  So chi >= ext on
+    every Z holds for (N, d) iff it holds for every lift; totals on the
+    support components agree, and the other conditions do not depend on
+    N.  Hence (N, d) is semistable iff all its lifts are, and, with e = uw
+    the top edge of N, d - 1_u is kept for N iff d and d - 1_u + 1_w are
+    kept for N - e.  Lifts raise d_v by at most k_v, the internal edges at
+    v, so under W level 0 searches [-W, W + k_v] within the forced windows.
     """
     s._require_valid()
-    dhat = s.extended_degeneracy
+    if g != s.graph:
+        raise DomainMismatch("sheaf and stability live on different graphs")
+    W = degree_window
+    if W is not None:
+        (W,) = exact_ints((W,), "degree_window", ValueError)
+        if W < 0:
+            raise ValueError("degree_window must be non-negative")
     out = []
     supports = [g.full_mask] if full_support_only else range(1, g.full_mask + 1)
     for supp in supports:
-        if not all(c in dhat for c in g.connected_components(supp)):
-            continue
         verts = vertices_of(supp)
-        target = s.extended_value(supp)
-        windows = [_degree_window_for(g, s, supp, v) for v in verts]
-        if degree_window is not None:
-            W = degree_window
-            windows = [(max(lo, -W), min(hi, W)) for lo, hi in windows]
-        for nonfree in _subsets(g.internal_edges(supp)):
-            degsum = target - g.line_chi_base[supp] - len(nonfree)
-            for d in _bounded_sums(windows, degsum):
-                full_d = [0] * g.n
-                for v, dv in zip(verts, d):
-                    full_d[v] = dv
-                I = SheafData(g, supp, tuple(full_d), frozenset(nonfree))
-                if is_semistable(I, s):
-                    out.append(I)
+        at = {v: i for i, v in enumerate(verts)}
+        internal = g.internal_edges(supp)
+        levels = [dict.fromkeys(_line_bundles(s, supp, W))]
+        for bits in range(1, 1 << len(internal)):
+            top = bits.bit_length() - 1
+            below = levels[bits ^ (1 << top)]
+            u, w = (at[x] for x in g.edges[internal[top]])
+            level = {}
+            for d in below:
+                c = list(d)
+                c[u] -= 1
+                low = tuple(c)
+                c[w] += 1
+                if tuple(c) in below:
+                    level[low] = None
+            levels.append(level)
+        for bits, level in enumerate(levels):
+            nonfree = frozenset(e for i, e in enumerate(internal) if bits >> i & 1)
+            out.extend(_sheaf(g, supp, verts, d, nonfree) for d in level
+                       if W is None or all(-W <= x <= W for x in d))
     return out
+
+
+def _line_bundles(s: VStability, supp: int, W: Optional[int]) -> list[tuple[int, ...]]:
+    """Degrees on the support's vertices of its semistable line bundles:
+    the forced windows (cut to [-W, W + k_v] under W), the sum the support's
+    extended value asks, and one ``subset_sums`` table per candidate read
+    on the support components (equal to ext) and their biconnected pieces
+    (at least ext)."""
+    g = s.graph
+    comps = g.connected_components(supp)
+    if not all(c in s.extended_degeneracy for c in comps):
+        return []
+    verts = vertices_of(supp)
+    windows = [_degree_window_for(g, s, supp, v) for v in verts]
+    if W is not None:
+        edges = [g.edges[e] for e in g.internal_edges(supp)]
+        windows = [(max(lo, -W), min(hi, W + sum(v in e for e in edges)))
+                   for v, (lo, hi) in zip(verts, windows)]
+    ext, base = s.extended_values, g.line_chi_base
+    tight = [(Y, ext[Y] - base[Y]) for Y in comps]
+    floors = [(Z, ext[Z] - base[Z]) for Y in comps for Z in g.biconnected_within(Y)]
+    full = [0] * g.n
+    out = []
+    for d in _bounded_sums(windows, ext[supp] - base[supp]):
+        for v, x in zip(verts, d):
+            full[v] = x
+        sums = subset_sums(full)
+        if all(sums[Y] == t for Y, t in tight) and all(sums[Z] >= t for Z, t in floors):
+            out.append(d)
+    return out
+
+
+def _sheaf(g: DualGraph, supp: int, verts, d, nonfree: frozenset) -> SheafData:
+    full = [0] * g.n
+    for v, x in zip(verts, d):
+        full[v] = x
+    return SheafData(g, supp, tuple(full), nonfree)
 
 
 def _degree_window_for(g: DualGraph, s: VStability, supp: int, v: int) -> tuple[int, int]:
@@ -462,12 +532,6 @@ def _degree_window_for(g: DualGraph, s: VStability, supp: int, v: int) -> tuple[
         hi_chi = lo_chi
     loops = g.internal_edge_count(vmask)
     return lo_chi + g.genera[v] - 1, hi_chi + g.genera[v] - 1 + loops
-
-
-def _subsets(items) -> Iterator[frozenset]:
-    items = list(items)
-    for bits in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if (bits >> i) & 1)
 
 
 def _bounded_sums(windows, total) -> Iterator[tuple[int, ...]]:

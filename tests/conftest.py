@@ -17,7 +17,7 @@ import pytest
 from vstab import DualGraph, SheafData
 from vstab.graphs import permute_mask, solve_equalities, vertices_of
 from vstab.limits import laplacian
-from vstab.sheaves import is_semistable
+from vstab.sheaves import _bounded_sums, _degree_window_for, is_semistable
 from vstab.stability import ValidationReport, Violation
 
 
@@ -328,6 +328,37 @@ def oracle_extended_degeneracy(s) -> frozenset[int]:
         ):
             out.add(W)
     return frozenset(out)
+
+
+def oracle_semistable(s, degree_window=None) -> list:
+    """``enumerate_semistable`` by generate-and-test, in its order: per
+    support with every piece in the extended degeneracy set, per non-free
+    set (a bitmask over the support's internal edges), every degree vector
+    of the forced sum in the forced windows (cut to [-W, W]) in
+    lexicographic order, kept when ``is_semistable``."""
+    g = s.graph
+    dhat = s.extended_degeneracy
+    out = []
+    for supp in range(1, g.full_mask + 1):
+        if not all(c in dhat for c in g.connected_components(supp)):
+            continue
+        verts = vertices_of(supp)
+        windows = [_degree_window_for(g, s, supp, v) for v in verts]
+        if degree_window is not None:
+            W = degree_window
+            windows = [(max(lo, -W), min(hi, W)) for lo, hi in windows]
+        internal = g.internal_edges(supp)
+        for bits in range(1 << len(internal)):
+            nonfree = frozenset(e for i, e in enumerate(internal) if (bits >> i) & 1)
+            degsum = s.extended_value(supp) - g.line_chi_base[supp] - len(nonfree)
+            for degs in _bounded_sums(windows, degsum):
+                d = [0] * g.n
+                for v, dv in zip(verts, degs):
+                    d[v] = dv
+                I = SheafData(g, supp, tuple(d), nonfree)
+                if is_semistable(I, s):
+                    out.append(I)
+    return out
 
 
 def oracle_box_semistable(s, window: int, full_support_only: bool) -> list:

@@ -34,6 +34,7 @@ from conftest import (
     banana,
     cycle5,
     k4,
+    k4_plus_path2,
     k5,
     k33_minus_edge,
     triangle,
@@ -386,6 +387,20 @@ class TestVerdictCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["steps"] == [] and doc["result"] == [0] * 12
 
+    def test_semistable_on_k4_with_a_two_path_is_quick(self, tmp_path, capsys):
+        # 2**8 non-free sets on the full support of the first orbit, built
+        # level by level from its line bundles; testing every candidate of
+        # the forced windows took 2.0 s of CPU time
+        g = k4_plus_path2()
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        stability = tmp_path / "stability.json"
+        stability.write_text(json.dumps(stability_to_json(enumerate_orbits(g)[0])))
+        start = time.process_time()
+        assert main(["semistable", "--graph", str(graph), "--stability", str(stability)]) == 0
+        assert time.process_time() - start < 0.5
+        assert len(json.loads(capsys.readouterr().out)["semistable"]) == 1584
+
     @pytest.mark.parametrize("multidegree", [
         "5_0,-50", "+5,-5", "5,-\u0665", "5,", "5,-5x", "1" * 5000 + ",0",
     ], ids=["underscore", "plus", "non-ascii-digit", "empty", "suffix", "5000-digits"])
@@ -501,7 +516,7 @@ class TestWindowAndBounds:
 
     @pytest.mark.parametrize("window", ["56", str(HUGE)])
     def test_window_over_budget_exits_two_at_once(self, tmp_path, capsys, window):
-        # the triangle at W = 56 could test 8 * 113**2 candidate sheaves
+        # the triangle at W = 56 spans a box of 8 * 113**2 sheaf classes
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps(graph_to_json(triangle())))
         stability = tmp_path / "stability.json"

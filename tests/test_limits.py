@@ -20,7 +20,8 @@ from vstab.limits import (
     twisting_subcurve,
 )
 from vstab.posets import enumerate_orbits
-from vstab.sheaves import enumerate_semistable, is_semistable, polystable_limit
+from vstab.sheaves import (enumerate_semistable, is_semistable, polystable_limit,
+                           semistable_line_bundles)
 from vstab.stability import extended_value_table
 
 from conftest import (
@@ -252,8 +253,7 @@ class TestLimitUpToSEquivalence:
                     continue
                 point_of = {
                     I.multidegree: polystable_limit(I, s)
-                    for I in enumerate_semistable(g, s, full_support_only=True)
-                    if not I.nonfree
+                    for I in semistable_line_bundles(s, g.full_mask)
                 }
                 by_class = {}
                 for d, point in point_of.items():
@@ -288,11 +288,10 @@ class TestLimitUpToSEquivalence:
                 if not s.is_general():
                     continue
                 point = {}
-                for I in enumerate_semistable(g, s, full_support_only=True):
-                    if not I.nonfree:
-                        c = key(I.multidegree)
-                        assert c not in point
-                        point[c] = I.multidegree
+                for I in semistable_line_bundles(s, g.full_mask):
+                    c = key(I.multidegree)
+                    assert c not in point
+                    point[c] = I.multidegree
                 win = g.genus + 2
                 need = s.chi - (g.n - sum(g.genera)) + len(g.edges)
                 for d in itertools.product(range(-win, win + 1), repeat=g.n):
@@ -469,18 +468,14 @@ class TestSemistableCounts:
         # a general stability has exactly one semistable multidegree in
         # each chip-firing class, and the classes are as many as the
         # spanning trees (Oda-Seshadri); the census runs over the derived
-        # degree windows of enumerate_semistable, not a fixed box
+        # degree windows of semistable_line_bundles, not a fixed box
         graphs = [banana(), k4(), cycle5(), k4_plus_path2()]
         assert [oracle_spanning_trees(g) for g in graphs] == [2, 16, 5, 16]
         for g in graphs:
             general = [s for s in enumerate_orbits(g) if s.is_general()]
             assert general
             for s in general:
-                degrees = [
-                    I.multidegree
-                    for I in enumerate_semistable(g, s, full_support_only=True)
-                    if not I.nonfree
-                ]
+                degrees = [I.multidegree for I in semistable_line_bundles(s, g.full_mask)]
                 assert len(degrees) == oracle_spanning_trees(g)
                 for i, d in enumerate(degrees):
                     for e in degrees[i + 1:]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -19,14 +20,19 @@ from vstab.sheaves import (
     is_stable,
     is_stable_via_extended,
     polystable_limit,
+    semistable_line_bundles,
     stable_summands,
     tight_unsplit_witnesses,
 )
 
 from conftest import (
-    banana, cycle5, genus_decorated, k4, oracle_box_semistable, path3, triangle,
-    triangle_genus1,
+    banana, cycle5, genus_decorated, k4, oracle_box_semistable, oracle_semistable, path3,
+    triangle, triangle_genus1,
 )
+
+# the curves of the cube-rule tests: multi-edges, a genus-1 vertex, a
+# loop (genus_decorated), and K4; the oracle comparison adds C5
+CUBE_GRAPHS = [banana, triangle, triangle_genus1, genus_decorated, k4]
 
 
 def s_banana_zero():
@@ -48,6 +54,26 @@ def all_sheaves(g, supports=None, window=2):
                 for v, dv in zip(verts, degs):
                     d[v] = dv
                 out.append(SheafData(g, supp, tuple(d), nonfree))
+    return out
+
+
+@functools.cache
+def census(make, W):
+    """(s, the semistable classes with degrees in [-W, W] by generate-and-test)
+    per orbit; W is None for all of them."""
+    return [(s, oracle_semistable(s, degree_window=W)) for s in enumerate_orbits(make())]
+
+
+def lifts(I):
+    """The line bundles d + (1 at a chosen endpoint of e, each e in N), one
+    per choice of endpoints; a loop has one choice."""
+    g = I.graph
+    out = set()
+    for ends in itertools.product(*(g.edges[e] for e in I.nonfree)):
+        d = list(I.multidegree)
+        for v in ends:
+            d[v] += 1
+        out.add(SheafData(g, I.support, tuple(d), frozenset()))
     return out
 
 
@@ -426,6 +452,83 @@ class TestEnumerate:
                         assert enumerate_semistable(
                             g, s, full_support_only=full, degree_window=W
                         ) == oracle_box_semistable(s, W, full)
+
+    @pytest.mark.parametrize("W", [-1, True, 1.5], ids=["negative", "bool", "float"])
+    def test_degree_window_is_an_exact_non_negative_int(self, W):
+        # -1 once returned [], True was read as 1 and 1.5 raised from range
+        g = triangle()
+        with pytest.raises(ValueError, match="degree_window"):
+            enumerate_semistable(g, enumerate_orbits(g)[0], degree_window=W)
+
+    @pytest.mark.parametrize("W", [None, 0, 1, 2])
+    @pytest.mark.parametrize("make", CUBE_GRAPHS + [cycle5], ids=lambda f: f.__name__)
+    def test_matches_generate_and_test(self, make, W):
+        # the build by cubes lists what testing every candidate of the
+        # forced windows lists, in the same order, on every orbit
+        g = make()
+        for s, want in census(make, W):
+            assert enumerate_semistable(g, s, degree_window=W) == want
+            assert enumerate_semistable(g, s, full_support_only=True, degree_window=W) == [
+                I for I in want if I.support == g.full_mask
+            ]
+
+    @pytest.mark.parametrize("make", CUBE_GRAPHS + [cycle5], ids=lambda f: f.__name__)
+    def test_line_bundles_are_the_classes_with_no_nonfree_node(self, make):
+        g = make()
+        for s, every in census(make, None):
+            for supp in range(1, g.full_mask + 1):
+                assert semistable_line_bundles(s, supp) == [
+                    I for I in every if I.support == supp and not I.nonfree
+                ]
+
+
+class TestCubeRule:
+    """(N, d) against its lifts, by is_semistable and is_stable alone."""
+
+    @pytest.mark.parametrize("make", CUBE_GRAPHS, ids=lambda f: f.__name__)
+    def test_semistable_iff_every_lift_is(self, make):
+        # the candidates per (support, N) are the semistable classes and
+        # each semistable line bundle lowered at the first endpoint of every
+        # e in N; a class outside them is not semistable, and neither is
+        # that lift of it, so the equivalence holds everywhere
+        g = make()
+        for s, every in census(make, None):
+            memo = {}
+
+            def semistable(I):
+                if I not in memo:
+                    memo[I] = is_semistable(I, s)
+                return memo[I]
+
+            classes = {}
+            for I in every:
+                classes.setdefault((I.support, I.nonfree), set()).add(I)
+            for supp in {I.support for I in every}:
+                internal = g.internal_edges(supp)
+                for r in range(len(internal) + 1):
+                    for N in map(frozenset, itertools.combinations(internal, r)):
+                        candidates = set(classes.get((supp, N), ()))
+                        for d in (I.multidegree for I in classes.get((supp, frozenset()), ())):
+                            low = list(d)
+                            for e in N:
+                                low[g.edges[e][0]] -= 1
+                            candidates.add(SheafData(g, supp, tuple(low), N))
+                        for I in candidates:
+                            assert semistable(I) == all(map(semistable, lifts(I)))
+
+    @pytest.mark.parametrize("make", CUBE_GRAPHS, ids=lambda f: f.__name__)
+    def test_one_edge_lifts_keep_semistable_and_stable(self, make):
+        g = make()
+        for s, every in census(make, None):
+            for I in every:
+                stable = is_stable(I, s)
+                for e in I.nonfree:
+                    for v in g.edges[e]:
+                        d = list(I.multidegree)
+                        d[v] += 1
+                        J = SheafData(g, I.support, tuple(d), I.nonfree - {e})
+                        assert is_semistable(J, s)
+                        assert is_stable(J, s) or not stable
 
 
 class TestExtensionGlue:
