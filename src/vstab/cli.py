@@ -246,10 +246,10 @@ def cmd_poset(args) -> int:
                 range(len(reps)), class_leq, label=lambda i: _deg_label(reps[i])
             )
         else:
-            diagram = posets.hasse(
-                degs,
-                lambda a, b: posets.deg_leq(b, a),
-                label=_deg_label,
+            # ordered by dominance: a cover goes up from a set to a smaller one dominating it
+            diagram = posets.hasse_from_rows(
+                posets.transpose_rows(posets.dominance_rows(degs)),
+                tuple(map(_deg_label, degs)),
             )
     else:
         stabs = posets.enumerate_window_stabilities(g)

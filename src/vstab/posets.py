@@ -17,9 +17,16 @@ its upper argument (the restriction lemma in ``deg_leq``), so a set that
 dominates the top subset, decided once per set, dominates every set
 containing it; any other included pair is decided by its first witness
 subset E.  Orbit enumeration lists the window stabilities with the
-tree-cut pattern, each of which is its own normal form.  The evidence
-scanner decides rankedness by one ascending sweep of ranks over the Hasse
-covers.
+tree-cut pattern, each of which is its own normal form; that search sets
+the pinned tree-cut pairs first and sorts its results back into the
+nested-loop order of the pairs, so the search order is not the output
+order.  A Hasse diagram is built from rows, one bitmask per element of the
+elements above it: ``hasse`` fills them with one predicate call per
+ordered pair, and ``dominance_rows`` fills the dominance order's from the
+proper supersets of each set (inclusion is necessary for dominance), kept
+whole for a set that dominates the top subset and otherwise filtered by
+witness.  The evidence scanner reads the covers of those rows and decides
+rankedness by one ascending sweep of ranks over them.
 """
 
 from __future__ import annotations
@@ -457,6 +464,19 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
     With ``tree_cut_pattern`` the tree-cut pairs are pinned to the
     normal-form pattern (0 on the parent side, 0 or 1 on the child side),
     which is the candidate set for orbit enumeration.
+
+    Search order and output order differ only there.  The output is in
+    nested-loop order: lexicographic in the values read pair by pair (Y,
+    then Y^c) in ``bcon_pairs`` order, each pair's options ascending.  The
+    full window is searched in that order.  The tree-cut window is searched
+    fail first (Haralick-Elliott 1980), pairs with fewer options first and
+    ties in ``bcon_pairs`` order.  The pinned pairs, two options each, come
+    first: every other pair has tree valence v >= 2 and 4v - 1 >= 7
+    options.  The results are then sorted back into nested-loop order.  On
+    the (5, 7) catalogue this cuts the search's steps from 164 406 to
+    32 748, and on K5 from 38 763 to 13 905.  The full window keeps
+    ``bcon_pairs`` order, where option-count order made C6 slower and K4
+    with a 2-path take more steps.
     """
     full = g.full_mask
     pairs = g.bcon_pairs
@@ -475,13 +495,20 @@ def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False
                 if lo2 <= b <= hi2
             ))
 
+    order = list(range(len(pairs)))
+    if tree_cut_pattern:
+        order.sort(key=lambda i: len(options[i]))
     bcon = g.biconnected_subcurves
     out = [
         VStability(g, 0, tuple(map(values.__getitem__, bcon)))
         for values in _pair_search(
-            pairs, options, g.admissible_pairs, partial(_pair_union_rule, full, 0),
+            [pairs[i] for i in order], [options[i] for i in order],
+            g.admissible_pairs, partial(_pair_union_rule, full, 0),
         )
     ]
+    if tree_cut_pattern:
+        at = [g.bcon_index[Y] for pair in pairs for Y in pair]
+        out.sort(key=lambda s: [s.values[i] for i in at])
     for s in out:
         if not s.is_valid:
             raise AssertionError("pruned search admitted an invalid stability")
@@ -520,21 +547,67 @@ def hasse(elements: list, leq: Callable, label: Callable = str) -> HasseDiagram:
     asked once for every ordered pair of distinct elements."""
     n = len(elements)
     above = [0] * n     # bit j set in above[i] iff leq(elements[i], elements[j])
-    below = [0] * n     # the transpose
     for i in range(n):
         for j in range(n):
             if i != j and leq(elements[i], elements[j]):
                 above[i] |= 1 << j
-                below[j] |= 1 << i
-    if any(above[i] & below[i] for i in range(n)):
+    return hasse_from_rows(above, tuple(label(e) for e in elements))
+
+
+def transpose_rows(rows: list[int]) -> list[int]:
+    """The transpose of a relation given by rows: bit i of the result's row
+    j is bit j of ``rows[i]``."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in vertices_of(row):
+            out[j] |= 1 << i
+    return out
+
+
+def hasse_from_rows(above: list[int], labels: tuple[str, ...]) -> HasseDiagram:
+    """Hasse diagram of a strict order on ``len(above)`` elements given by
+    rows: bit j of ``above[i]`` (j != i) is set iff element i lies below
+    element j.  The relation must be antisymmetric and transitive; the
+    covers come out ordered by (lower, upper)."""
+    below = transpose_rows(above)
+    if any(map(int.__and__, above, below)):
         raise NotAPartialOrder("relation is not antisymmetric")
-    if any(above[j] & ~above[i] for i in range(n) for j in vertices_of(above[i])):
-        raise NotAPartialOrder("relation is not transitive")
-    covers = tuple(
-        (i, j) for i in range(n) for j in vertices_of(above[i])
-        if not above[i] & below[j]
-    )
-    return HasseDiagram(tuple(label(e) for e in elements), covers)
+    covers = []
+    for i, row in enumerate(above):
+        for j in vertices_of(row):
+            if above[j] & ~row:
+                raise NotAPartialOrder("relation is not transitive")
+            if not row & below[j]:
+                covers.append((i, j))
+    return HasseDiagram(labels, tuple(covers))
+
+
+def dominance_rows(degs: list[DegeneracySet]) -> list[int]:
+    """The dominance order on degeneracy subsets of one graph as rows: bit j
+    of row i is set iff ``deg_leq(degs[i], degs[j])`` for j != i.
+
+    A row starts as the proper supersets of its set, which is what
+    inclusion (necessary for dominance) leaves: the AND, over the set's
+    members, of the bitmask of the sets holding each member.  It stays whole
+    when the set dominates the top subset (the restriction lemma in
+    ``deg_leq``; the flag is asked only when the row is not empty), and
+    otherwise keeps the supersets with a witness.  These are the searches
+    ``deg_leq`` runs on the included pairs, with no predicate call per
+    ordered pair."""
+    holders: dict[int, int] = {}   # per member, the bitmask of the sets holding it
+    for j, d in enumerate(degs):
+        for Y in d.members:
+            holders[Y] = holders.get(Y, 0) | (1 << j)
+    everyone = (1 << len(degs)) - 1
+    rows = []
+    for i, d in enumerate(degs):
+        row = everyone ^ (1 << i)
+        for Y in d.members:
+            row &= holders[Y]
+        if row and not d.dominates_top:
+            row = sum(1 << j for j in vertices_of(row) if deg_witness(d, degs[j]) is not None)
+        rows.append(row)
+    return rows
 
 
 # -- symmetry reduction ---------------------------------------------------------------
@@ -604,11 +677,8 @@ def qdeg_scan(g: DualGraph) -> dict:
     degs = enumerate_degeneracy_subsets(g)
     k = len(degs)
     try:
-        # inclusion is necessary for dominance and far cheaper to test; the
-        # scan reads only the covers, so the labels are left empty
-        diagram = hasse(
-            degs, lambda a, b: a.members <= b.members and deg_leq(a, b), label=lambda d: ""
-        )
+        # the scan reads only the covers, so the labels are left empty
+        diagram = hasse_from_rows(dominance_rows(degs), ("",) * k)
     except NotAPartialOrder:
         is_po, ranked, rank = False, None, None
     else:

@@ -176,6 +176,14 @@ class TestClassicalDetection:
                 assert w is not None
                 assert w.induced_vstability() == s
 
+    def test_every_orbit_of_the_five_eight_catalogue_is_classical(self):
+        # non-classical orbits first appear at six components; is_classical
+        # checks each witness's ceiling itself
+        graphs = connected_multigraphs(5, 8)
+        orbits = [s for g in graphs for s in enumerate_orbits(g)]
+        assert (len(graphs), len(orbits)) == (505, 20153)
+        assert all(is_classical(s) is not None for s in orbits)
+
 
 class TestClassicalExceptions:
     """Two graphs of six components and eight edges whose general orbits

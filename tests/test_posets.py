@@ -23,11 +23,13 @@ from vstab.posets import (
     deg_symmetry_key,
     deg_witness,
     deg_witnesses,
+    dominance_rows,
     dominating_stabilities,
     enumerate_degeneracy_subsets,
     enumerate_orbits,
     enumerate_window_stabilities,
     hasse,
+    hasse_from_rows,
     is_maximal,
     is_submaximal,
     lift,
@@ -39,6 +41,7 @@ from vstab.posets import (
     qdeg_scan,
     translate,
     translation_witness,
+    transpose_rows,
     vstab_leq,
 )
 from vstab.stability import DegeneracySet
@@ -709,6 +712,23 @@ class TestOrbits:
                 for t in reps[i + 1:]:
                     assert not orbit_equal(s, t)
 
+    def test_tree_cut_window_is_the_filtered_full_window(self):
+        # an oracle free of search order: the full window is searched pair
+        # by pair in bcon_pairs order, the tree-cut window pinned pairs first
+        orbits = 0
+        for g in connected_multigraphs(5, 7):
+            cuts = g.spanning_tree.cut_pairs()
+            pinned = [
+                s.values for s in enumerate_window_stabilities(g)
+                if all(s.value(parent) == 0 and s.value(child) in (0, 1)
+                       for parent, child in cuts)
+            ]
+            window = enumerate_window_stabilities(g, tree_cut_pattern=True)
+            assert [s.values for s in window] == pinned
+            assert [s.values for s in enumerate_orbits(g)] == sorted(pinned)
+            orbits += len(pinned)
+        assert orbits == 7197
+
 
 class TestHasse:
     def test_chain(self):
@@ -718,6 +738,36 @@ class TestHasse:
     def test_not_partial_order(self):
         with pytest.raises(NotAPartialOrder):
             hasse([1, 2], lambda a, b: True)
+
+    def test_rows_not_antisymmetric(self):
+        with pytest.raises(NotAPartialOrder, match="antisymmetric"):
+            hasse_from_rows([0b10, 0b01], ("a", "b"))
+
+    def test_rows_not_transitive(self):
+        # 0 < 1 < 2 without 0 < 2
+        with pytest.raises(NotAPartialOrder, match="transitive"):
+            hasse_from_rows([0b010, 0b100, 0], ("a", "b", "c"))
+
+    @pytest.mark.parametrize("graphs, count", [("catalogue", 9722), ("k5_c6", 1396)])
+    def test_dominance_rows_match_the_predicate_diagram(self, graphs, count):
+        # the scan's diagram (rows i below j) and, on K5 and C6, the poset
+        # command's (rows transposed) against one predicate call per pair
+        pool = connected_multigraphs(5, 7) if graphs == "catalogue" else [k5(), cycle6()]
+        covers = 0
+        for g in pool:
+            degs = enumerate_degeneracy_subsets(g)
+            rows = dominance_rows(degs)
+            blank = ("",) * len(degs)
+            scan = hasse_from_rows(rows, blank)
+            assert scan == hasse(
+                degs, lambda a, b: a.members <= b.members and deg_leq(a, b), label=lambda d: ""
+            )
+            covers += len(scan.covers)
+            if graphs == "k5_c6":
+                assert hasse_from_rows(transpose_rows(rows), blank) == hasse(
+                    degs, lambda a, b: deg_leq(b, a), label=lambda d: ""
+                )
+        assert covers == count
 
     def test_k4_class_diagram(self):
         g = k4()
