@@ -33,12 +33,10 @@ def vertices_of(mask: int) -> list[int]:
     if mask < 0:
         raise ValueError("a subcurve mask is non-negative")
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -219,7 +217,7 @@ class DualGraph:
 
     def connected_components(self, Y: int) -> list[int]:
         """Partition of Y into maximal connected pieces; empty input gives []."""
-        return components(self.neighbor_masks, Y)
+        return components(self.neighbor_masks, self.check_mask(Y))
 
     @cached_property
     def connected_subcurves(self) -> tuple[int, ...]:
@@ -282,7 +280,7 @@ class DualGraph:
         nonempty proper Z <= Y with Z and Y - Z connected, ascending."""
         con = self._connected_set
         out = []
-        Z = (Y - 1) & Y
+        Z = (self.check_mask(Y) - 1) & Y
         while Z:
             if Z in con and Y ^ Z in con:
                 out.append(Z)
@@ -369,8 +367,6 @@ class DualGraph:
 
     def subcurve_genus(self, Y: int) -> int:
         """Arithmetic genus of the subcurve Y (0 for the empty subcurve)."""
-        if Y == 0:
-            return 0
         pieces = self.connected_components(Y)
         return (
             self.internal_edge_count(Y)
@@ -415,7 +411,7 @@ class DualGraph:
         with the contracted edges only, and surviving internal edges become
         loops, so the total arithmetic genus is preserved.
         """
-        F = sorted(set(contracted))
+        F = sorted(set(exact_ints(contracted, "an edge index")))
         for i in F:
             if not 0 <= i < len(self.edges):
                 raise ValueError(f"edge index {i} out of range")
@@ -568,9 +564,7 @@ class Contraction:
         Preserves joins, meets and the number of connected components, and
         sends (bi)connected subcurves to (bi)connected subcurves.
         """
-        if Y & ~self.target.full_mask:
-            raise DomainMismatch("subcurve is not a mask over the target graph")
         out = 0
-        for t in vertices_of(Y):
+        for t in vertices_of(self.target.check_mask(Y)):
             out |= self.fibers[t]
         return out

@@ -16,17 +16,18 @@ assignment, which callers read at once.  Dominance is downward closed in
 its upper argument (the restriction lemma in ``deg_leq``), so a set that
 dominates the top subset, decided once per set, dominates every set
 containing it; any other included pair is decided by its first witness
-subset E.  Orbit enumeration lists the window stabilities with the
-tree-cut pattern, each of which is its own normal form; that search sets
-the pinned tree-cut pairs first and sorts its results back into the
-nested-loop order of the pairs, so the search order is not the output
-order.  A Hasse diagram is built from rows, one bitmask per element of the
-elements above it: ``hasse`` fills them with one predicate call per
-ordered pair, and ``dominance_rows`` fills the dominance order's from the
-proper supersets of each set (inclusion is necessary for dominance), kept
-whole for a set that dominates the top subset and otherwise filtered by
-witness.  The evidence scanner reads the covers of those rows and decides
-rankedness by one ascending sweep of ranks over them.
+subset E.  Window stabilities, orbit representatives and the stabilities
+dominating a given one come from one search under the pair-union rule,
+each stability built in search order and validated again.  Orbit
+enumeration searches the window stabilities with the tree-cut pattern,
+each its own normal form, with the pinned tree-cut pairs first, and sorts
+them once by value.  A Hasse diagram is built from rows, one bitmask per
+element of the elements above it: ``hasse`` fills them with one predicate
+call per ordered pair, and ``dominance_rows`` fills the dominance order's
+from the proper supersets of each set (inclusion is necessary for
+dominance), kept whole for a set that dominates the top subset and
+otherwise filtered by witness.  The evidence scanner reads the covers of
+those rows and decides rankedness by one ascending sweep of ranks over them.
 """
 
 from __future__ import annotations
@@ -147,6 +148,23 @@ def _pair_union_rule(full, chi, constraint, values) -> bool:
     return (delta == -1
             and values[A] + values[full ^ A] != chi
             and values[B] + values[full ^ B] != chi)
+
+
+def _searched_stabilities(g: DualGraph, chi: int, pairs, options) -> Iterator[VStability]:
+    """The stabilities of characteristic ``chi`` found by ``_pair_search``
+    on ``pairs`` and their ``options`` under the pair-union rule, in search
+    order, each validated again."""
+    bcon = g.biconnected_subcurves
+    # an itemgetter of two or more keys returns a tuple; the biconnected
+    # subcurves come in complementary pairs, so there are none or two or more
+    read = itemgetter(*bcon) if bcon else lambda values: ()
+    for values in _pair_search(
+        pairs, options, g.admissible_pairs, partial(_pair_union_rule, g.full_mask, chi),
+    ):
+        s = VStability(g, chi, read(values))
+        if not s.is_valid:
+            raise AssertionError("pruned search admitted an invalid stability")
+        yield s
 
 
 # -- degeneracy subsets ---------------------------------------------------------
@@ -383,16 +401,8 @@ def dominating_stabilities(s: VStability) -> Iterator[VStability]:
     for Y, Yc in g.bcon_pairs:
         a, b = s.value(Y), s.value(Yc)
         options.append(((a, b), (a + 1, b), (a, b + 1)) if Y in s.degenerate else ((a, b),))
-    found = _pair_search(
-        g.bcon_pairs, options, g.admissible_pairs,
-        partial(_pair_union_rule, g.full_mask, s.chi),
-    )
     # the first assignment bumps nothing, which gives s itself
-    for values in itertools.islice(found, 1, None):
-        t = VStability(g, s.chi, tuple(map(values.__getitem__, g.biconnected_subcurves)))
-        if not t.is_valid:
-            raise AssertionError("pruned search admitted an invalid stability")
-        yield t
+    return itertools.islice(_searched_stabilities(g, s.chi, g.bcon_pairs, options), 1, None)
 
 
 def is_maximal(s: VStability) -> bool:
@@ -457,76 +467,60 @@ def stability_window(g: DualGraph) -> dict[int, tuple[int, int]]:
     return out
 
 
-def enumerate_window_stabilities(g: DualGraph, *, tree_cut_pattern: bool = False) -> list[VStability]:
-    """All valid characteristic-0 stabilities inside the tree-valence
-    window, by a pruned pair-by-pair search.
-
-    With ``tree_cut_pattern`` the tree-cut pairs are pinned to the
-    normal-form pattern (0 on the parent side, 0 or 1 on the child side),
-    which is the candidate set for orbit enumeration.
-
-    Search order and output order differ only there.  The output is in
-    nested-loop order: lexicographic in the values read pair by pair (Y,
-    then Y^c) in ``bcon_pairs`` order, each pair's options ascending.  The
-    full window is searched in that order.  The tree-cut window is searched
-    fail first (Haralick-Elliott 1980), pairs with fewer options first and
-    ties in ``bcon_pairs`` order.  The pinned pairs, two options each, come
-    first: every other pair has tree valence v >= 2 and 4v - 1 >= 7
-    options.  The results are then sorted back into nested-loop order.  On
-    the (5, 7) catalogue this cuts the search's steps from 164 406 to
-    32 748, and on K5 from 38 763 to 13 905.  The full window keeps
-    ``bcon_pairs`` order, where option-count order made C6 slower and K4
-    with a 2-path take more steps.
-    """
-    full = g.full_mask
-    pairs = g.bcon_pairs
-    window = stability_window(g)
-    cut_child = {min(cut): cut[1] for cut in g.spanning_tree.cut_pairs()}
-
-    options = []
-    for Y, Yc in pairs:
-        if tree_cut_pattern and Y in cut_child:
-            # 0 on the parent side, 0 or 1 on the child side
-            options.append(((0, 0), (0, 1) if cut_child[Y] == Yc else (1, 0)))
-        else:
-            (lo1, hi1), (lo2, hi2) = window[Y], window[Yc]
-            options.append(tuple(
-                (a, b) for a in range(lo1, hi1 + 1) for b in (-a, 1 - a)
-                if lo2 <= b <= hi2
-            ))
-
-    order = list(range(len(pairs)))
-    if tree_cut_pattern:
-        order.sort(key=lambda i: len(options[i]))
-    bcon = g.biconnected_subcurves
-    out = [
-        VStability(g, 0, tuple(map(values.__getitem__, bcon)))
-        for values in _pair_search(
-            [pairs[i] for i in order], [options[i] for i in order],
-            g.admissible_pairs, partial(_pair_union_rule, full, 0),
-        )
-    ]
-    if tree_cut_pattern:
-        at = [g.bcon_index[Y] for pair in pairs for Y in pair]
-        out.sort(key=lambda s: [s.values[i] for i in at])
-    for s in out:
-        if not s.is_valid:
-            raise AssertionError("pruned search admitted an invalid stability")
+def _window_options(g: DualGraph) -> list[tuple[tuple[int, int], ...]]:
+    """Per pair (Y, Y^c) of ``bcon_pairs``, its window values ascending:
+    Y and Y^c share their tree valence v, both values lie in 1 - v..v, and
+    they sum to 0 or 1, which leaves 4v - 1 options."""
+    tree = g.spanning_tree
+    out = []
+    for Y, _ in g.bcon_pairs:
+        v = tree.valence(Y)
+        out.append(tuple(
+            (a, b) for a in range(1 - v, v + 1) for b in (-a, 1 - a) if 1 - v <= b <= v
+        ))
     return out
+
+
+def enumerate_window_stabilities(g: DualGraph) -> list[VStability]:
+    """All valid characteristic-0 stabilities inside the tree-valence
+    window, by a pruned pair-by-pair search in ``bcon_pairs`` order.
+
+    The output is in nested-loop order: lexicographic in the values read
+    pair by pair (Y, then Y^c) in ``bcon_pairs`` order, each pair's options
+    ascending.  Ordering the pairs by option count instead made C6 slower
+    and K4 with a 2-path take more steps.
+    """
+    return list(_searched_stabilities(g, 0, g.bcon_pairs, _window_options(g)))
 
 
 def enumerate_orbits(g: DualGraph) -> list[VStability]:
     """Complete, duplicate-free translation-orbit representatives at
-    characteristic 0: the window stabilities with the tree-cut pattern.
+    characteristic 0, sorted by value: the window stabilities with the
+    tree-cut pattern.
 
     Each such candidate is its own normal form.  Its characteristic is 0,
     and on each tree cut the parent side has value 0 and the child side 0
     or 1.  The child side is degenerate exactly when its value is 0, so the
     normal form's target tau-sum over each child subtree, -value + (0 if
     degenerate else 1), is 0 for both values; with total 0 as well, the
-    shift tau is zero, and distinct candidates lie in distinct orbits."""
+    shift tau is zero, and distinct candidates lie in distinct orbits.
+
+    The search is fail first (Haralick-Elliott 1980), pairs with fewer
+    options first and ties in ``bcon_pairs`` order.  The pinned pairs, two
+    options each, come first: every other pair has tree valence v >= 2 and
+    4v - 1 >= 7 options.  On the (5, 7) catalogue this cuts the search's
+    steps from 164 406 to 32 748, and on K5 from 38 763 to 13 905.
+    """
+    pairs = g.bcon_pairs
+    options = _window_options(g)
+    cut_child = {min(cut): cut[1] for cut in g.spanning_tree.cut_pairs()}
+    for i, (Y, Yc) in enumerate(pairs):
+        if Y in cut_child:
+            # 0 on the parent side, 0 or 1 on the child side
+            options[i] = ((0, 0), (0, 1) if cut_child[Y] == Yc else (1, 0))
+    order = sorted(range(len(pairs)), key=lambda i: len(options[i]))
     return sorted(
-        enumerate_window_stabilities(g, tree_cut_pattern=True),
+        _searched_stabilities(g, 0, [pairs[i] for i in order], [options[i] for i in order]),
         key=lambda s: s.values,
     )
 

@@ -89,7 +89,7 @@ class SheafData:
         """Torsion-free quotient supported on Y meet support; multidegree is
         kept, non-free nodes are intersected."""
         g = self.graph
-        supp = Y & self.support
+        supp = g.check_mask(Y) & self.support
         if supp == 0:
             raise EmptySubcurve("restriction along a subcurve missing the support")
         internal = set(g.internal_edges(supp))
@@ -116,7 +116,7 @@ class SheafData:
     def splits_at(self, Y: int) -> bool:
         """Whether the sheaf is a direct sum along Y: every node joining Y
         to the complementary part of the support is non-free."""
-        inner = Y & self.support
+        inner = self.graph.check_mask(Y) & self.support
         return self.nonfree.issuperset(
             self.graph.crossing_edges(inner, self.support & ~inner)
         )

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import vstab
 from vstab import DualGraph
-from vstab.errors import EmptySubcurve, OverlappingSubcurves
+from vstab.errors import DomainMismatch, EmptySubcurve, OverlappingSubcurves
 from vstab.graphenum import connected_multigraphs
 from vstab.graphs import vertices_of
 
@@ -79,6 +84,10 @@ class TestConnectivity:
         with time_bound(2), pytest.raises(ValueError, match="non-negative"):
             vertices_of(mask)
 
+    @given(st.integers(0, (1 << 300) - 1))
+    def test_vertex_list_matches_bit_scan(self, mask):
+        assert vertices_of(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
+
     def test_matches_oracle_exhaustively(self):
         for make in POOL_N4:
             g = make()
@@ -109,6 +118,41 @@ class TestComponents:
                 assert len(g.connected_components(Y)) == oracle_component_count(
                     g, set(vertices_of(Y))
                 )
+
+
+# masks outside 0..full_mask of the banana, or not exact ints
+BAD_MASKS = pytest.mark.parametrize(
+    "Y", [-1, 1.5, True, 0b100], ids=["-1", "1.5", "True", "full+1"]
+)
+
+
+class TestMaskRange:
+    @pytest.mark.parametrize("method", ["connected_components", "subcurve_genus"])
+    @BAD_MASKS
+    def test_refused(self, method, Y):
+        # connected_components(-1) and subcurve_genus(-1) once raised IndexError
+        with pytest.raises(DomainMismatch):
+            getattr(banana(), method)(Y)
+
+    def test_biconnected_within_refused(self):
+        # biconnected_within(-1) once looped forever, since (Z - 1) & Y stays
+        # negative; run in a subprocess so that a regression fails, not hangs
+        code = (
+            "from vstab.errors import DomainMismatch\n"
+            "from vstab import DualGraph\n"
+            "g = DualGraph((0, 0), ((0, 1), (0, 1)))\n"
+            "for Y in (-1, 1.5, True, g.full_mask + 1):\n"
+            "    try:\n"
+            "        g.biconnected_within(Y)\n"
+            "    except DomainMismatch:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{Y!r} accepted')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(vstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBiconnected:
@@ -233,6 +277,10 @@ class TestGenus:
     def test_triangle_vertex(self):
         assert triangle().subcurve_genus(0b001) == 0
 
+    def test_empty_subcurve(self):
+        # no special case: no edges, vertices, pieces or genera to count
+        assert genus_decorated().subcurve_genus(0) == 0
+
     def test_matches_first_betti_oracle(self):
         for make in POOL_N4 + [genus_decorated]:
             g = make()
@@ -273,6 +321,19 @@ class TestContraction:
         target, c = g.contract(())
         assert target == g
         assert c.pushforward(0b001) == 0b001
+
+    @BAD_MASKS
+    def test_pushforward_refuses_bad_masks(self, Y):
+        # True was once read as the subcurve 1, and 1.0 raised a bare TypeError
+        _, c = path3().contract((1,))
+        with pytest.raises(DomainMismatch):
+            c.pushforward(Y)
+
+    @pytest.mark.parametrize("F", [(True,), (1.0,), (0, False)])
+    def test_contract_refuses_non_int_indices(self, F):
+        # (True,) once contracted edge 1 and kept True in contracted_edges
+        with pytest.raises(TypeError, match="edge index"):
+            banana().contract(F)
 
     def test_arithmetic_genus_preserved(self):
         for make in POOL_N4 + [genus_decorated]:

@@ -211,41 +211,31 @@ class TestPairSearch:
         assert _sha(doms) == digest
 
 
-    # sha256 of the values in output order of the full window, the
-    # tree-cut window and the orbits, recorded before the value tables
+    # sha256 of the values in output order of the full window and the
+    # orbits, recorded before the value tables
     @pytest.mark.parametrize("make, counts, digests", [
-        (banana, (3, 2, 2), (
+        (banana, (3, 2), (
             "ed293429f50edc2904dfbf36a2a9f1a44cd0391fa441b26070690821ce76c041",
-            "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a",
             "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a")),
-        (k4, (291, 44, 44), (
+        (k4, (291, 44), (
             "5e2498589aeb26f25f4d79fd5f76c923c9fa6af5aa657a3d1242584cce9e4110",
-            "4506d47e8970d4c237149d65f7cf89b672e04c2db55d1640936219030a9d7355",
             "454d1636d15ad7f825ea7e7dacab31692d8b853868dc6b440f127644c4ad5013")),
-        (cycle5, (1697, 150, 150), (
+        (cycle5, (1697, 150), (
             "3613729b2ce5700b3e3e9fe99ae12a6cb607ce7914e73ac6402906442dc92015",
-            "349adcc526b3be5b22b13e04cd8baf3fc32f0b7d9bc8c1c4b659d2fdd2b70b8d",
             "373d2bfa076f935949d3669a89456226b25f4f19bd9942e0ac3798f7fbfa52f3")),
-        (k5, (16321, 1100, 1100), (
+        (k5, (16321, 1100), (
             "df828311f45643454b83c07e5dbc6cf30e2f1c9cb1781b275eb3a6da67000d44",
-            "c0dcb08803f8048cd6b4e63dd1f9846996b4ee7750416865ab9d1f6b9a59af2b",
             "9379669be11b83e6c8058e82b094586355fe8c6a6d5d18cc56cd719aadb4389d")),
-        (cycle6, (24483, 1082, 1082), (
+        (cycle6, (24483, 1082), (
             "323b95ae46d622b9026afbff4fb1f74ec22ddad4db7f0af97ff111b7c0b93998",
-            "6a8cf71f02bd97c1ac556ea84f1ea34ef341fb33138722ea7f7b43d61fc6403f",
             "5d1de073f5b8ca43ddc3d31fb25aeda6fee5d8613549fd311fc78a5030bfa951")),
-        (k4_plus_path2, (2619, 176, 176), (
+        (k4_plus_path2, (2619, 176), (
             "050fdd03aad1b29ec3d50f825ea55f1ff2c5c6e1bc48afc04eb5f98dee6ddaec",
-            "1af6e445432e40cee9b6e24f84e99afea1d023ab138497c8d7143b6771163bd6",
             "a973570ac657f75978b55bda1c54af412f11d6091bd21a259a2b8e75b0d01c99")),
     ], ids=[f.__name__ for f in LADDER])
     def test_window_and_orbit_digests(self, make, counts, digests):
         g = make()
-        outputs = (
-            enumerate_window_stabilities(g),
-            enumerate_window_stabilities(g, tree_cut_pattern=True),
-            enumerate_orbits(g),
-        )
+        outputs = (enumerate_window_stabilities(g), enumerate_orbits(g))
         for out, count, digest in zip(outputs, counts, digests):
             assert len(out) == count
             assert _sha([s.values for s in out]) == digest
@@ -689,7 +679,7 @@ class TestOrbits:
         # form, which is why enumerate_orbits keeps them all unfiltered
         pool = [f() for f in LADDER] if graphs == "ladder" else connected_multigraphs(5, 6)
         for g in pool:
-            for s in enumerate_window_stabilities(g, tree_cut_pattern=True):
+            for s in enumerate_orbits(g):
                 nf, tau = normal_form(s)
                 assert nf == s and not any(tau)
 
@@ -714,7 +704,7 @@ class TestOrbits:
 
     def test_tree_cut_window_is_the_filtered_full_window(self):
         # an oracle free of search order: the full window is searched pair
-        # by pair in bcon_pairs order, the tree-cut window pinned pairs first
+        # by pair in bcon_pairs order, the orbits pinned pairs first
         orbits = 0
         for g in connected_multigraphs(5, 7):
             cuts = g.spanning_tree.cut_pairs()
@@ -723,8 +713,6 @@ class TestOrbits:
                 if all(s.value(parent) == 0 and s.value(child) in (0, 1)
                        for parent, child in cuts)
             ]
-            window = enumerate_window_stabilities(g, tree_cut_pattern=True)
-            assert [s.values for s in window] == pinned
             assert [s.values for s in enumerate_orbits(g)] == sorted(pinned)
             orbits += len(pinned)
         assert orbits == 7197

@@ -5,6 +5,7 @@ import pytest
 
 from vstab import OrderedPartition, SheafData, VStability
 from vstab.errors import (
+    DomainMismatch,
     EmptySubcurve,
     InvalidPartition,
     NotSemistable,
@@ -160,6 +161,16 @@ class TestRestrictions:
                     for Y in range(1, g.full_mask + 1):
                         if Y & Z == Y and Y & I.support:
                             assert I.restrict(Z).restrict(Y) == I.restrict(Y)
+
+
+    @pytest.mark.parametrize("method", ["restrict", "euler_char_on", "splits_at", "sub_part"])
+    @pytest.mark.parametrize("Y", [-1, 1.5, True, 0b100], ids=["-1", "1.5", "True", "full+1"])
+    def test_mask_out_of_range_refused(self, method, Y):
+        # restrict(-1) once gave the whole support, so euler_char_on(-1) was
+        # the support's chi and splits_at(-1) True
+        I = SheafData(banana(), 0b11, (0, -1), frozenset({0}))
+        with pytest.raises(DomainMismatch):
+            getattr(I, method)(Y)
 
 
 class TestSplitting:

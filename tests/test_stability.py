@@ -409,7 +409,7 @@ class TestPullback:
 
     def test_exhaustive_validity_and_degeneracy(self, graphs_n4):
         for g in graphs_n4:
-            reps = enumerate_window_stabilities(g, tree_cut_pattern=True)
+            reps = enumerate_orbits(g)
             for F_bits in range(1 << len(g.edges)):
                 F = tuple(i for i in range(len(g.edges)) if (F_bits >> i) & 1)
                 target, c = g.contract(F)
