@@ -26,11 +26,14 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 141
 
-# The most edge multisets one qdeg-scan may walk (graphenum.walk_size),
-# checked before the walk starts.  It admits every scan with n <= 6 up to
-# 9 edges (1.40 M multisets) and n = 7 up to 7 edges (1.31 M), but not
-# n = 7 with 8 edges (4.76 M) or 9 edges (15.6 M).
-MAX_SCAN_WALK = 2_000_000
+# The most edges one qdeg-scan may charge (graphenum.walk_size: the edges of
+# every sorted edge multiset with n <= --max-vertices and n - 1 to
+# --max-edges edges, a bound on the edges of the catalogue and of its
+# output), checked before the catalogue is built.  It admits every scan
+# with n <= 6 up to 9 edges (11.8 M) and n = 7 up to 7 edges (8.84 M), but
+# not n = 7 with 8 edges (36.5 M) or 9 edges (134 M), nor two vertices with
+# 10**6 edges (5.0e11).
+MAX_SCAN_WALK = 20_000_000
 
 # The most elements `poset` puts through the all-pairs Hasse diagram,
 # checked after the enumeration: window stabilities for --kind vstab,
@@ -374,8 +377,8 @@ def cmd_qdeg_scan(args) -> int:
         raise ValueError("--max-edges must be non-negative")
     if graphenum.walk_size(args.max_vertices, args.max_edges, MAX_SCAN_WALK) > MAX_SCAN_WALK:
         raise ValueError(
-            f"--max-vertices {args.max_vertices} --max-edges {args.max_edges} walks "
-            f"more than {MAX_SCAN_WALK} edge multisets; lower either flag"
+            f"--max-vertices {args.max_vertices} --max-edges {args.max_edges} charges "
+            f"more than {MAX_SCAN_WALK} edges; lower either flag"
         )
     for g in graphenum.connected_multigraphs(args.max_vertices, args.max_edges):
         report = posets.qdeg_scan(g)

@@ -3,21 +3,22 @@
 Used by the evidence scanner and by the exhaustive test sweeps.  All
 genera default to zero; tests add genus labels where they matter.
 
-The catalogue is built by orderly generation (Read 1978; McKay 1998,
-"Isomorph-free exhaustive generation").  For each vertex count n and edge
-count m, ``itertools.combinations_with_replacement`` yields the sorted
-edge tuples in lexicographic order, so every isomorphism class is first
-met at its lexicographically least member.  A combination is kept exactly
-when it is connected and is that least member of its class
-(``is_canonical``), so the catalogue holds one representative per class,
-each in its least relabelling, in the order of those least members: the
-same graphs in the same order as keeping the first member met of each
-class and replacing it by its least relabelling.
+The catalogue is built by orderly generation (Read 1978; McKay 1998) on
+Read's prefix lemma: if a sorted loopless edge tuple is the least of its
+relabellings (``is_canonical``), so is the tuple without its last edge.
+Proof: if a relabelling made the prefix smaller, inserting the image of
+the last edge into the sorted image could only lower each order
+statistic, and the last edge is the largest entry of the tuple, so the
+whole tuple's sorted image would be smaller too.  So for each vertex
+count n, the level of m edges is every canonical extension t + (e,) of a
+level m - 1 tuple t by a slot e >= t[-1].  Disconnected tuples stay in
+the levels; the connected ones with m >= n - 1 are the output.  Extending
+in order keeps each level in lexicographic order, so the catalogue is
+ordered by n, then m, then edge tuple.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .graphs import DualGraph, adjacency_masks, component_of
@@ -91,18 +92,20 @@ def _larger(A, row0, sigma, l: int, used: int) -> bool:
 
 
 def walk_size(max_vertices: int, max_edges: int, cap: int) -> int:
-    """Number of edge multisets ``connected_multigraphs(max_vertices,
-    max_edges)`` walks, the sum over n and m of C(C(n,2)+m-1, m), or the
-    first partial sum above ``cap``.
+    """Number of edges in all the sorted edge multisets on n <= max_vertices
+    vertices with n - 1 to max_edges edges, the sum over n and m of
+    m * C(C(n,2)+m-1, m), or the first partial sum above ``cap``: a bound,
+    taken without building anything, on the edges the catalogue can hold.
 
-    Each n contributes C(k+max_edges, k) - C(k+n-2, k) for its k = C(n,2)
-    slots (the hockey-stick sum over m from n-1 to max_edges), so the count
-    takes one step per vertex count and stops as soon as it passes cap.
+    Since m * C(k+m-1, m) = k * C(k+m-1, m-1), each n contributes
+    k * (C(k+max_edges, k+1) - C(k+n-2, k+1)) for its k = C(n,2) slots (the
+    hockey-stick sum over m), so the count takes one step per vertex count
+    and stops as soon as it passes cap.
     """
     total = 0
-    for n in range(1, min(max_vertices, max_edges + 1) + 1):
+    for n in range(2, min(max_vertices, max_edges + 1) + 1):
         k = n * (n - 1) // 2
-        total += math.comb(k + max_edges, k) - math.comb(k + n - 2, k) if k else 1
+        total += k * (math.comb(k + max_edges, k + 1) - math.comb(k + n - 2, k + 1))
         if total > cap:
             break
     return total
@@ -115,15 +118,23 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> list[DualGraph]:
 
     Loops are never generated: they are invisible to the subcurve
     combinatorics (connectivity, biconnectedness, stability) and only
-    shift genus bookkeeping.
+    shift genus bookkeeping.  A vertex count stops at its first empty
+    level, and none above max_edges + 1 is tried: such graphs cannot be
+    connected.
     """
     out = []
-    for n in range(1, max_vertices + 1):
+    for n in range(1, min(max_vertices, max_edges + 1) + 1):
         slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
         full = (1 << n) - 1
-        for m in range(n - 1, max_edges + 1):
-            for combo in itertools.combinations_with_replacement(slots, m):
-                if (component_of(adjacency_masks(n, combo), full, 1) == full
-                        and is_canonical(n, combo)):
-                    out.append(DualGraph((0,) * n, combo))
+        level = [()]
+        for m in range(max_edges + 1):
+            if m:
+                level = [t + (e,) for t in level
+                         for e in slots[slots.index(t[-1]) if t else 0:]
+                         if is_canonical(n, t + (e,))]
+                if not level:
+                    break
+            if m >= n - 1:
+                out.extend(DualGraph((0,) * n, t) for t in level
+                           if component_of(adjacency_masks(n, t), full, 1) == full)
     return out

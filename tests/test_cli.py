@@ -562,6 +562,7 @@ class TestWindowAndBounds:
 
     @pytest.mark.parametrize("vertices, edges", [
         pytest.param("7", "9", id="7-9"),
+        pytest.param("2", "1000000", id="2-1000000"),
         pytest.param(str(HUGE), str(HUGE), id="huge"),
     ])
     def test_scan_over_budget_exits_two_at_once(self, vertices, edges, capsys):
@@ -574,6 +575,17 @@ class TestWindowAndBounds:
 
     def test_zero_max_edges_scans_the_single_vertex(self, capsys):
         assert main(["qdeg-scan", "--max-vertices", "3", "--max-edges", "0"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["genera"], r["edges"]) for r in lines] == [([0], [])]
+
+    @pytest.mark.parametrize("vertices, edges", [
+        pytest.param("1", "1000000000", id="1-1000000000"),
+        pytest.param("1000000000", "0", id="1000000000-0"),
+    ])
+    def test_scan_of_one_vertex_ends_at_once(self, vertices, edges, capsys):
+        start = time.perf_counter()
+        assert main(["qdeg-scan", "--max-vertices", vertices, "--max-edges", edges]) == 0
+        assert time.perf_counter() - start < 2
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [(r["genera"], r["edges"]) for r in lines] == [([0], [])]
 
