@@ -35,6 +35,16 @@ EXIT_PIPE = 141
 # 10**6 edges (5.0e11).
 MAX_SCAN_WALK = 20_000_000
 
+# The most complementary pairs (Y, Y^c) of biconnected subcurves (len of
+# DualGraph.bcon_pairs) `enum-orbits` searches, checked before the search.
+# At the bound, C7 (9366 orbits) took 0.56 s of CPU time for 50 MB of JSON
+# and the worst six-vertex graphs (17 564 orbits) 0.87 s for 89 MB, both
+# under 30 MB peak RSS (Python 3.11.7, one core of a 2-vCPU box).  C8 (28
+# pairs, 94 586 orbits) took 5.4 s for 715 MB and 82 MB, the octahedron
+# (28 pairs) 13.4 s for 1.4 GB and 162 MB; K6 (31 pairs, 242 002 orbits)
+# is refused.  The ladder graphs have at most 15 pairs (K5, C6).
+MAX_ORBIT_PAIRS = 21
+
 # The most elements `poset` puts through the all-pairs Hasse diagram,
 # checked after the enumeration: window stabilities for --kind vstab,
 # degeneracy subsets for --kind deg.  The vstab diagram asks vstab_leq once
@@ -173,11 +183,16 @@ def cmd_validate(args) -> int:
 
 def cmd_enum_orbits(args) -> int:
     g = _graph(args)
+    if len(g.bcon_pairs) > MAX_ORBIT_PAIRS:
+        raise ValueError(
+            f"enum-orbits: the graph has {len(g.bcon_pairs)} complementary pairs of "
+            f"biconnected subcurves, more than {MAX_ORBIT_PAIRS} for one orbit search"
+        )
     reps = posets.enumerate_orbits(g)
     if args.chi:
         shift = (args.chi,) + (0,) * (g.n - 1)
         reps = [posets.translate(s, shift) for s in reps]
-    _emit({"orbits": [serialize.stability_to_json(s) for s in reps]})
+    _emit({"orbits": reps})
     return EXIT_OK
 
 
@@ -364,7 +379,7 @@ def cmd_normal_form(args) -> int:
         return EXIT_INPUT
     nf, tau = posets.normal_form(s)
     _emit({
-        "normal_form": serialize.stability_to_json(nf),
+        "normal_form": nf,
         "tau": list(tau),
     })
     return EXIT_OK

@@ -11,8 +11,10 @@ the last edge into the sorted image could only lower each order
 statistic, and the last edge is the largest entry of the tuple, so the
 whole tuple's sorted image would be smaller too.  So for each vertex
 count n, the level of m edges is every canonical extension t + (e,) of a
-level m - 1 tuple t by a slot e >= t[-1].  Disconnected tuples stay in
-the levels; the connected ones with m >= n - 1 are the output.  Extending
+level m - 1 tuple t by a slot e >= t[-1], except the tuples whose
+components the edges left before max_edges cannot join: their extensions
+cannot be connected either.  Other disconnected tuples stay in the levels;
+the connected ones with m >= n - 1 are the output.  Extending
 in order keeps each level in lexicographic order, so the catalogue is
 ordered by n, then m, then edge tuple.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import DualGraph, adjacency_masks, component_of
+from .graphs import DualGraph, adjacency_masks, component_of, components
 
 
 def is_canonical(n: int, edges) -> bool:
@@ -129,9 +131,16 @@ def connected_multigraphs(max_vertices: int, max_edges: int) -> list[DualGraph]:
         level = [()]
         for m in range(max_edges + 1):
             if m:
-                level = [t + (e,) for t in level
+                # c components need c - 1 more edges to join, so a tuple
+                # with more than spare + 1 cannot become connected, nor can
+                # its extensions; it is dropped before its canonicity test
+                spare = max_edges - m
+                level = [u for t in level
                          for e in slots[slots.index(t[-1]) if t else 0:]
-                         if is_canonical(n, t + (e,))]
+                         for u in [t + (e,)]
+                         if (spare >= n - 1
+                             or len(components(adjacency_masks(n, u), full)) <= spare + 1)
+                         and is_canonical(n, u)]
                 if not level:
                     break
             if m >= n - 1:

@@ -22,9 +22,15 @@ index twice.  Anything else is a SchemaError.
 
 The emitter :func:`dump` walks the document once and hands each piece of
 text to a ``write`` callable as it goes, so no copy of the whole text is
-held; the CLI passes ``sys.stdout.write``.  The text matches
-``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` byte for byte; that
-stdlib call, which falls back to the pure-Python encoder whenever an
+held; the CLI passes ``sys.stdout.write``.  A document may hold
+:class:`VStability` objects themselves: each is written as
+:func:`stability_to_json` would give it, from a format template with one
+field for chi and one per value.  The template is that function's
+document for the graph, written once per graph and indent in a ``dump``
+call, so a stability costs one ``str.format`` and no dicts.  The text
+matches ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, with
+``stability_to_json(s)`` in place of each stability ``s``, byte for byte;
+that stdlib call, which falls back to the pure-Python encoder whenever an
 indent is set, is its test oracle.
 """
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import DomainMismatch, InvalidPolarization
 from .graphs import DualGraph, exact_ints, vertices_of
@@ -246,20 +253,39 @@ def hasse_to_dot(h: HasseDiagram) -> str:
 
 _quote = json.encoder.encode_basestring_ascii
 
+# a template field as the writer quotes it: "\u0000" and the field number
+_FIELD = re.compile(r'"\\u0000([0-9]+)"')
+
+
+def _stability_template(g: DualGraph, newline: str) -> str:
+    """The text of :func:`stability_to_json` on ``g`` starting on a line
+    broken by ``newline``, as a ``str.format`` template: field 0 is chi,
+    field i + 1 the value on the i-th biconnected subcurve."""
+    fields = ["\0" + str(i) for i in range(len(g.biconnected_subcurves) + 1)]
+    stand_in = SimpleNamespace(graph=g, chi=fields[0], values=fields[1:])
+    pieces: list[str] = []
+    _write(stability_to_json(stand_in), newline, pieces.append, {})
+    text = "".join(pieces).replace("{", "{{").replace("}", "}}")
+    return _FIELD.sub(r"{\1}", text)
+
 
 def dump(doc, write) -> None:
     """Canonical JSON emission, passed piece by piece to ``write`` (such as
     ``sys.stdout.write``) as the walk goes: sorted keys, two-space indent,
     newline-terminated; the text of ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\n"``.  Object keys must be strings; a TypeError names
-    the first one that is not, after the text before it has been written."""
-    _write(doc, "\n", write)
+    indent=2) + "\n"`` with ``stability_to_json(s)`` in place of each
+    VStability ``s``.  Stabilities are written from templates kept for this
+    call only, one per graph and indent.  Object keys must be strings; a
+    TypeError names the first one that is not, after the text before it
+    has been written."""
+    _write(doc, "\n", write, {})
     write("\n")
 
 
-def _write(x, newline: str, out) -> None:
+def _write(x, newline: str, out, templates: dict) -> None:
     """Pass the text of ``x`` to ``out``, with ``newline`` the line break
-    plus indent of the line that ``x`` starts on."""
+    plus indent of the line that ``x`` starts on; ``templates`` holds the
+    stability templates by (graph, newline)."""
     if isinstance(x, dict):
         if not x:
             out("{}")
@@ -270,7 +296,7 @@ def _write(x, newline: str, out) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"object keys must be strings, got {key!r}")
             out(sep + _quote(key) + ": ")
-            _write(x[key], inner, out)
+            _write(x[key], inner, out, templates)
             sep = "," + inner
         out(newline + "}")
     elif isinstance(x, (list, tuple)):
@@ -284,13 +310,18 @@ def _write(x, newline: str, out) -> None:
         sep = "[" + inner
         for v in x:
             out(sep)
-            _write(v, inner, out)
+            _write(v, inner, out, templates)
             sep = "," + inner
         out(newline + "]")
     elif type(x) is int:
         out(int.__repr__(x))
     elif isinstance(x, str):
         out(_quote(x))
+    elif isinstance(x, VStability):
+        key = (x.graph, newline)
+        if key not in templates:
+            templates[key] = _stability_template(x.graph, newline)
+        out(templates[key].format(x.chi, *x.values))
     else:
         # bools, None, floats and int subclasses: the stdlib's scalar text
         out(json.dumps(x))

@@ -31,6 +31,7 @@ from vstab.serialize import (
 
 from conftest import (
     K33_MINUS_EDGE_NONCLASSICAL,
+    LADDER,
     banana,
     cycle5,
     k4,
@@ -217,6 +218,32 @@ class TestEnumCommands:
         monkeypatch.setattr(cli, "MAX_POSET_ELEMENTS", budget)
         assert main(["poset", "--graph", graph, "--kind", "vstab"]) == code
         assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_enum_orbits_over_budget_exits_two_at_once(self, tmp_path, capsys):
+        # K6 has 31 complementary pairs and 242 002 orbits: refused before
+        # the search
+        k6 = DualGraph((0,) * 6, tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(k6)))
+        start = time.process_time()
+        assert main(["enum-orbits", "--graph", str(graph)]) == 2
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "31 complementary pairs" in captured.err
+        assert str(cli.MAX_ORBIT_PAIRS) in captured.err
+
+    @pytest.mark.parametrize("budget, code", [(1, 0), (0, 2)])
+    def test_enum_orbits_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                             budget, code):
+        # the banana has one complementary pair
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_ORBIT_PAIRS", budget)
+        assert main(["enum-orbits", "--graph", graph]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_enum_orbits_budget_admits_the_ladder(self):
+        assert max(len(make().bcon_pairs) for make in LADDER) <= cli.MAX_ORBIT_PAIRS
 
     MOD_SYMMETRY = [["enum-deg", "--mod-symmetry"], ["poset", "--kind", "deg", "--mod-symmetry"]]
 

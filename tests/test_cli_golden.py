@@ -275,3 +275,42 @@ def test_golden_classical_output(tmp_path, capsys, case):
                  "--stability", str(paths["stability"])])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == golden
+
+
+# graph, argv after the subcommand, stability document (or None) and (exit
+# code, sha256 of stdout) of documents that hold stabilities, recorded
+# with one dict per stability value: --chi translates on K4, a curve with
+# no biconnected subcurve ("values": []), a curve with genera and a loop,
+# and the normal form of the K5 translate with chi = 3
+STABILITY_DOCS = {
+    "K4-enum-orbits-chi-3": (
+        K4, ["enum-orbits", "--chi", "3"], None,
+        (0, "e4b7c388c1f05250669bb3a6cdfa1ca9540caaee66ae89ef1c95e487bae0ce17")),
+    "K4-enum-orbits-chi-minus-2": (
+        K4, ["enum-orbits", "--chi", "-2"], None,
+        (0, "81756dd91faf962d9a99efcd468684cf63fc2c8857472c196e0e0f2542ae9640")),
+    "genus-1-loop-enum-orbits": (
+        {"genera": [1], "edges": [[0, 0]]}, ["enum-orbits"], None,
+        (0, "ad3c2def575d4b5e7e960386a473f16b145119b1ab8b2a54e440b1beb8103b8b")),
+    "loop-enum-orbits": (
+        GENUS_DECORATED, ["enum-orbits"], None,
+        (0, "14cba7a11843f966d178b73dac528d05bdc28a5be260d9a0605df4399e76ed45")),
+    "K5-translate-normal-form": (
+        K5, ["normal-form"], CLASSICAL["K5-translate"][1],
+        (0, "7c12b3e69e058b7b73ae0aca9de7922b2f67c7c6d2c0bce809e57fd297e8797d")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABILITY_DOCS))
+def test_golden_stability_documents(tmp_path, capsys, case):
+    graph, argv, stability, golden = STABILITY_DOCS[case]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    argv = argv[:1] + ["--graph", str(path)] + argv[1:]
+    if stability is not None:
+        path = tmp_path / "stability.json"
+        path.write_text(json.dumps(stability))
+        argv += ["--stability", str(path)]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == golden
