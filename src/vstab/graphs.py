@@ -196,12 +196,13 @@ class DualGraph:
         return self.subcurve_genus(self.full_mask)
 
     def complement(self, Y: int) -> int:
-        return self.full_mask ^ Y
+        return self.full_mask ^ self.check_mask(Y)
 
     def check_mask(self, Y: int, low: int = 0, what: str = "a subcurve") -> int:
         """Y, if it is an exact int (:func:`exact_ints`) and a subcurve mask
         in low..full_mask; else ``DomainMismatch``, whose message names the
-        range and not the mask: a huge int has no decimal string."""
+        range and not the mask: a huge int has no decimal string.  It is the
+        one range test of every subcurve mask the package's queries take."""
         if type(Y) is not int or not low <= Y <= self.full_mask:
             exact_ints((Y,), what, DomainMismatch)
             raise DomainMismatch(f"{what} is not a mask in {low}..{self.full_mask}")
@@ -211,7 +212,7 @@ class DualGraph:
 
     def is_connected(self, Y: int) -> bool:
         """Whether the induced multigraph on Y is connected (loops ignored)."""
-        if Y == 0:
+        if self.check_mask(Y) == 0:
             raise EmptySubcurve("connectivity of the empty subcurve is undefined")
         return component_of(self.neighbor_masks, Y, Y & (-Y)) == Y
 
@@ -292,7 +293,7 @@ class DualGraph:
 
     def crossing_edges(self, A: int, B: int) -> tuple[int, ...]:
         """Indices of the edges joining disjoint A and B, ascending."""
-        if A & B:
+        if self.check_mask(A) & self.check_mask(B):
             raise OverlappingSubcurves(f"subcurves {A:b} and {B:b} overlap")
         return tuple(
             i for i, (u, v) in enumerate(self.edges)
@@ -305,6 +306,7 @@ class DualGraph:
 
     def internal_edges(self, Y: int) -> tuple[int, ...]:
         """Indices of edges with both endpoints in Y; loops at Y included."""
+        self.check_mask(Y)
         return tuple(
             i for i, (u, v) in enumerate(self.edges)
             if (Y >> u) & 1 and (Y >> v) & 1
@@ -446,7 +448,7 @@ class DualGraph:
         Returns the new graph and the list of original vertex labels, in
         the order they were renamed to 0..k-1.
         """
-        if Y == 0:
+        if self.check_mask(Y) == 0:
             raise EmptySubcurve("cannot induce on the empty subcurve")
         verts = vertices_of(Y)
         if not self.is_connected(Y):

@@ -18,7 +18,8 @@ dominates the top subset, decided once per set, dominates every set
 containing it; any other included pair is decided by its first witness
 subset E.  Window stabilities, orbit representatives and the stabilities
 dominating a given one come from one search under the pair-union rule,
-each stability built in search order and validated again.  Orbit
+each stability built in search order and validated again.  The
+tree-valence window is stated once, by ``stability_window``.  Orbit
 enumeration searches the window stabilities with the tree-cut pattern,
 each its own normal form, with the pinned tree-cut pairs first, and sorts
 them once by value.  A Hasse diagram is built from rows, one bitmask per
@@ -28,6 +29,7 @@ from the proper supersets of each set (inclusion is necessary for
 dominance), kept whole for a set that dominates the top subset and
 otherwise filtered by witness.  The evidence scanner reads the covers of
 those rows and decides rankedness by one ascending sweep of ranks over them.
+The subcurves a move takes pass ``DualGraph.check_mask``.
 """
 
 from __future__ import annotations
@@ -336,7 +338,7 @@ def move_merge_pair(D: DegeneracySet, Y1: int, Y2: int) -> DegeneracySet:
     union."""
     g = D.graph
     mins = minimal_elements(D)
-    if Y1 not in mins or Y2 not in mins or Y1 & Y2:
+    if not {g.check_mask(Y1), g.check_mask(Y2)} <= mins or Y1 & Y2:
         raise MoveNotApplicable("arguments must be disjoint minimal elements")
     U = Y1 | Y2
     if U not in g.bcon_index:
@@ -433,12 +435,11 @@ def orbit_equal(s: VStability, t: VStability) -> bool:
     return normal_form(s)[0] == normal_form(t)[0]
 
 
-def translation_witness(s: VStability, t: VStability, bound: Optional[int] = None):
+def translation_witness(s: VStability, t: VStability):
     """Integer vector tau with t == translate(s, tau), or None.
 
     Solved through the tree-cut coordinates, then verified on every
-    biconnected subcurve; with ``bound`` set, reject witnesses with an
-    entry exceeding it in absolute value.
+    biconnected subcurve.
     """
     if s.graph != t.graph:
         return None
@@ -447,8 +448,6 @@ def translation_witness(s: VStability, t: VStability, bound: Optional[int] = Non
         for child in s.graph.spanning_tree.child_masks
     ])
     if translate(s, tau) != t:
-        return None
-    if bound is not None and any(abs(x) > bound for x in tau):
         return None
     return tuple(tau)
 
@@ -469,14 +468,15 @@ def stability_window(g: DualGraph) -> dict[int, tuple[int, int]]:
 
 def _window_options(g: DualGraph) -> list[tuple[tuple[int, int], ...]]:
     """Per pair (Y, Y^c) of ``bcon_pairs``, its window values ascending:
-    Y and Y^c share their tree valence v, both values lie in 1 - v..v, and
-    they sum to 0 or 1, which leaves 4v - 1 options."""
-    tree = g.spanning_tree
+    Y and Y^c share their tree valence v, so both values lie in the one
+    window lo..hi = 1 - v..v of :func:`stability_window`, and they sum to 0
+    or 1, which leaves 4v - 1 options."""
+    window = stability_window(g)
     out = []
     for Y, _ in g.bcon_pairs:
-        v = tree.valence(Y)
+        lo, hi = window[Y]
         out.append(tuple(
-            (a, b) for a in range(1 - v, v + 1) for b in (-a, 1 - a) if 1 - v <= b <= v
+            (a, b) for a in range(lo, hi + 1) for b in (-a, 1 - a) if lo <= b <= hi
         ))
     return out
 

@@ -266,12 +266,9 @@ class VStability:
     def extended_value(self, Y: int) -> int:
         """Value of the extended V-function on any nonempty subcurve, read
         from :attr:`extended_values`; validity is not required."""
-        table = self.extended_values
-        if type(Y) is int and 0 < Y < len(table):
-            return table[Y]
-        if Y == 0 and type(Y) is int:
+        if self.graph.check_mask(Y) == 0:
             raise EmptySubcurve("the extended V-function needs a nonempty subcurve")
-        self.graph.check_mask(Y, 1)   # Y is not an int or out of range, so this raises
+        return self.extended_values[Y]
 
     # -- restriction and pullback ---------------------------------------------
 

@@ -289,6 +289,17 @@ def oracle_line_chi_base(g: DualGraph) -> tuple[int, ...]:
     return tuple(base)
 
 
+def oracle_euler_char_on(I, Z: int) -> int:
+    """chi of the restriction of the sheaf I to Z, read off its data with
+    no restriction built: with W = Z meet the support, line_chi_base[W]
+    plus the degrees on W plus the non-free nodes with both ends in W."""
+    g = I.graph
+    W = Z & I.support
+    inside = [e for e, (u, v) in enumerate(g.edges) if (W >> u) & 1 and (W >> v) & 1]
+    degrees = sum(I.multidegree[v] for v in range(g.n) if (W >> v) & 1)
+    return g.line_chi_base[W] + degrees + len(I.nonfree.intersection(inside))
+
+
 def oracle_is_degenerate(s, Y: int) -> bool:
     """The pair-sum test as written before ``VStability.degenerate``: two
     ``value`` lookups, s_Y + s_{Y^c} == chi."""

@@ -659,11 +659,12 @@ def test_criterion_06_normal_form():
         for s in stabs:
             assert orbit_equal(s, s)
             for t in stabs:
-                w = translation_witness(s, t, bound=6)
+                w = translation_witness(s, t)
                 assert (w is not None) == orbit_equal(s, t)
                 assert orbit_equal(s, t) == orbit_equal(t, s)
                 if w is not None:
                     assert translate(s, w) == t
+                    assert max(map(abs, w)) <= 6
         lines.append(f"{len(g.edges)}e/{g.n}v:{len(reps)}")
     elapsed = time.time() - t0
     print("orbit counts per graph:", " ".join(lines))

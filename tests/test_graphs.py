@@ -127,12 +127,26 @@ BAD_MASKS = pytest.mark.parametrize(
 
 
 class TestMaskRange:
-    @pytest.mark.parametrize("method", ["connected_components", "subcurve_genus"])
+    @pytest.mark.parametrize("method", [
+        "connected_components", "subcurve_genus", "is_connected", "internal_edges",
+        "internal_edge_count", "complement", "induced",
+    ])
     @BAD_MASKS
     def test_refused(self, method, Y):
-        # connected_components(-1) and subcurve_genus(-1) once raised IndexError
+        # connected_components(-1) and subcurve_genus(-1) once raised
+        # IndexError, internal_edges(-1) gave every edge, complement(-1) gave
+        # -4 and is_connected(True) answered for the mask 0b01
         with pytest.raises(DomainMismatch):
             getattr(banana(), method)(Y)
+
+    @pytest.mark.parametrize("method", ["crossing_edges", "edges_between"])
+    @pytest.mark.parametrize("side", [0, 1])
+    @BAD_MASKS
+    def test_two_masks_refused(self, method, side, Y):
+        # crossing_edges(-2, 1) once gave both edges of the banana
+        args = (Y, 0) if side == 0 else (0, Y)
+        with pytest.raises(DomainMismatch):
+            getattr(banana(), method)(*args)
 
     def test_biconnected_within_refused(self):
         # biconnected_within(-1) once looped forever, since (Z - 1) & Y stays

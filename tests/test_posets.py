@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstab import DualGraph, VStability
-from vstab.errors import MoveNotApplicable, NotAPartialOrder
+from vstab.errors import DomainMismatch, MoveNotApplicable, NotAPartialOrder
 from vstab.graphenum import connected_multigraphs
 from vstab.graphs import mask_of, vertices_of
 from vstab.posets import (
@@ -443,6 +443,19 @@ class TestMoves:
         d = DegeneracySet(banana(), frozenset())
         with pytest.raises(MoveNotApplicable):
             move_I(d, 1)
+
+    @pytest.mark.parametrize("Y1, Y2", [(True, 0b0010), (0b0010, True)])
+    def test_move_two_refuses_a_bool(self, Y1, Y2):
+        # True was once merged as the mask 0b0001
+        g = k4()
+        full = DegeneracySet(g, frozenset(g.biconnected_subcurves))
+        with pytest.raises(DomainMismatch):
+            move_II(full, Y1, Y2)
+
+    def test_move_one_refuses_a_bool(self):
+        d = DegeneracySet(banana(), frozenset({0b01, 0b10}))
+        with pytest.raises(DomainMismatch):
+            move_I(d, True)
 
     def test_move_two_k4(self):
         g = k4()

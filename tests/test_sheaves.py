@@ -27,8 +27,8 @@ from vstab.sheaves import (
 )
 
 from conftest import (
-    banana, cycle5, genus_decorated, k4, oracle_box_semistable, oracle_semistable, path3,
-    triangle, triangle_genus1,
+    banana, cycle4, cycle5, genus_decorated, k4, oracle_box_semistable, oracle_euler_char_on,
+    oracle_semistable, path3, triangle, triangle_genus1,
 )
 
 # the curves of the cube-rule tests: multi-edges, a genus-1 vertex, a
@@ -102,7 +102,32 @@ class TestExactIntegers:
             extension_glue(J, I, frozenset({0.0}))
 
 
+class TestSupportMask:
+    @pytest.mark.parametrize("support", [-1, 1.5, True, 0b100],
+                             ids=["-1", "1.5", "True", "full+1"])
+    def test_refused(self, support):
+        # True was once taken as the support 0b01, and 1.5 raised a bare
+        # TypeError from the support's own range test
+        with pytest.raises(DomainMismatch, match="a support"):
+            SheafData(banana(), support, (0, 0), frozenset())
+
+    def test_empty_support(self):
+        with pytest.raises(EmptySubcurve):
+            SheafData(banana(), 0, (0, 0), frozenset())
+
+
 class TestEulerChar:
+    @pytest.mark.parametrize("make", [banana, triangle, cycle4, k4], ids=lambda f: f.__name__)
+    def test_restricted_chi_matches_the_formula(self, make):
+        # chi on Z of every class of every orbit, through the restriction,
+        # against line_chi_base + degrees + non-free nodes on Z meet support
+        g = make()
+        for s in enumerate_orbits(g):
+            for I in enumerate_semistable(g, s):
+                for Z in range(1, g.full_mask + 1):
+                    if Z & I.support:
+                        assert I.euler_char_on(Z) == oracle_euler_char_on(I, Z), (I, Z)
+
     def test_structure_sheaf(self):
         for g in [banana(), triangle(), path3(), genus_decorated()]:
             I = SheafData.line_bundle(g, (0,) * g.n)
@@ -548,7 +573,7 @@ class TestExtensionGlue:
         g = s.graph
         J = SheafData(g, 0b10, (0, -1), frozenset())
         I = SheafData(g, 0b01, (-1, 0), frozenset())
-        K = extension_glue(J, I, frozenset({1}), s)
+        K = extension_glue(J, I, frozenset({1}))
         assert K.multidegree == (0, -1)
         assert K.nonfree == frozenset({0})
         assert is_semistable(K, s)
@@ -592,5 +617,5 @@ class TestExtensionGlue:
                             boundary[i] for i in range(len(boundary))
                             if (bits >> i) & 1
                         )
-                        K = extension_glue(J, I, free, s)
+                        K = extension_glue(J, I, free)
                         assert is_semistable(K, s)
