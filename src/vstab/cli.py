@@ -45,6 +45,18 @@ MAX_SCAN_WALK = 20_000_000
 # is refused.  The ladder graphs have at most 15 pairs (K5, C6).
 MAX_ORBIT_PAIRS = 21
 
+# The most complementary pairs `enum-deg` searches for degeneracy subsets,
+# with or without --mod-symmetry, checked before the search.  Below the
+# bound, K6 (31 pairs, 3708 subsets) took 0.40 s of CPU time and C8 (28
+# pairs, 4140) 0.57 s; at it, the seven-vertex graphs of 33 pairs tried
+# (9169 and 10 972 subsets, up to 14 MB of JSON) took 1.3-1.4 s and under
+# 75 MB peak RSS (Python 3.11.7, one core of a 2-vCPU box).  Past it the
+# subsets multiply: a seven-vertex graph of 36 pairs has 21 038 (3.4 s),
+# the wheel on seven vertices plus a chord (40 pairs) 37 620 (5.9 s, 53
+# MB of JSON), and with a second chord (48 pairs) 245 001 (51 s, 416 MB).
+# The ladder graphs have at most 15 pairs.
+MAX_DEG_PAIRS = 33
+
 # The most elements `poset` puts through the all-pairs Hasse diagram,
 # checked after the enumeration: window stabilities for --kind vstab,
 # degeneracy subsets for --kind deg.  The vstab diagram asks vstab_leq once
@@ -200,6 +212,11 @@ def cmd_enum_deg(args) -> int:
     g = _graph(args)
     if args.mod_symmetry:
         _check_symmetry_size(g)
+    if len(g.bcon_pairs) > MAX_DEG_PAIRS:
+        raise ValueError(
+            f"enum-deg: the graph has {len(g.bcon_pairs)} complementary pairs of "
+            f"biconnected subcurves, more than {MAX_DEG_PAIRS} for one degeneracy search"
+        )
     degs = posets.enumerate_degeneracy_subsets(g)
     if args.mod_symmetry:
         reps, _ = posets.deg_symmetry_classes(g, degs)

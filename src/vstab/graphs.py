@@ -403,6 +403,12 @@ class DualGraph:
         child_masks = tuple(sub[c] for _, c in tree_edges)
         return SpanningTree(self.n, tree_edges, child_masks)
 
+    def tree_valence(self, Y: int) -> int:
+        """Number of edges of :attr:`spanning_tree` joining Y and its
+        complement."""
+        self.check_mask(Y)
+        return sum((Y >> p ^ Y >> c) & 1 for p, c in self.spanning_tree.edges)
+
     # -- contraction ------------------------------------------------------
 
     def contract(self, contracted: "tuple[int, ...] | list[int]") -> tuple["DualGraph", "Contraction"]:
@@ -514,13 +520,6 @@ class SpanningTree:
     n: int
     edges: tuple[tuple[int, int], ...]
     child_masks: tuple[int, ...]
-
-    def valence(self, Y: int) -> int:
-        """Number of tree edges joining Y and its complement."""
-        return sum(
-            1 for p, c in self.edges
-            if ((Y >> p) & 1) != ((Y >> c) & 1)
-        )
 
     def cut_pairs(self) -> tuple[tuple[int, int], ...]:
         """(parent_side, child_side) per tree edge."""

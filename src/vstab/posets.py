@@ -18,11 +18,12 @@ dominates the top subset, decided once per set, dominates every set
 containing it; any other included pair is decided by its first witness
 subset E.  Window stabilities, orbit representatives and the stabilities
 dominating a given one come from one search under the pair-union rule,
-each stability built in search order and validated again.  The
-tree-valence window is stated once, by ``stability_window``.  Orbit
-enumeration searches the window stabilities with the tree-cut pattern,
-each its own normal form, with the pinned tree-cut pairs first, and sorts
-them once by value.  A Hasse diagram is built from rows, one bitmask per
+each stability built in search order by the trusted constructor: the
+search enforces every condition ``validate`` checks, so none is run
+again.  The tree-valence window is stated once, by ``stability_window``.
+Orbit enumeration searches the window stabilities with the tree-cut
+pattern, each its own normal form, with the pinned tree-cut pairs first,
+and sorts them once by value.  A Hasse diagram is built from rows, one bitmask per
 element of the elements above it: ``hasse`` fills them with one predicate
 call per ordered pair, and ``dominance_rows`` fills the dominance order's
 from the proper supersets of each set (inclusion is necessary for
@@ -155,7 +156,14 @@ def _pair_union_rule(full, chi, constraint, values) -> bool:
 def _searched_stabilities(g: DualGraph, chi: int, pairs, options) -> Iterator[VStability]:
     """The stabilities of characteristic ``chi`` found by ``_pair_search``
     on ``pairs`` and their ``options`` under the pair-union rule, in search
-    order, each validated again."""
+    order, built by ``VStability._trusted`` with no check run again.
+
+    ``pairs`` must be every pair of ``bcon_pairs`` once, each option a pair
+    of exact ints with sum chi or chi + 1: then every stability is valid,
+    since the pair sums come from the options and the search enforces the
+    pair-union rule of ``validate_via_union`` on every admissible pair.
+    ``TestSearchedStabilitiesPassTheChecks`` rebuilds each output through
+    the public constructor and asserts both validators' verdicts."""
     bcon = g.biconnected_subcurves
     # an itemgetter of two or more keys returns a tuple; the biconnected
     # subcurves come in complementary pairs, so there are none or two or more
@@ -163,10 +171,7 @@ def _searched_stabilities(g: DualGraph, chi: int, pairs, options) -> Iterator[VS
     for values in _pair_search(
         pairs, options, g.admissible_pairs, partial(_pair_union_rule, g.full_mask, chi),
     ):
-        s = VStability(g, chi, read(values))
-        if not s.is_valid:
-            raise AssertionError("pruned search admitted an invalid stability")
-        yield s
+        yield VStability._trusted(g, chi, read(values))
 
 
 # -- degeneracy subsets ---------------------------------------------------------
@@ -458,10 +463,9 @@ def translation_witness(s: VStability, t: VStability):
 def stability_window(g: DualGraph) -> dict[int, tuple[int, int]]:
     """Per-subcurve value window for characteristic-0 representatives:
     1 - tree valence <= value <= tree valence."""
-    tree = g.spanning_tree
     out = {}
     for Y in g.biconnected_subcurves:
-        val = tree.valence(Y)
+        val = g.tree_valence(Y)
         out[Y] = (1 - val, val)
     return out
 
@@ -679,7 +683,7 @@ def qdeg_scan(g: DualGraph) -> dict:
         is_po = True
         ranked, rank = _all_maximal_chains_equal(k, diagram.covers)
     reps = enumerate_orbits(g)
-    realized = {s.degenerate for s in reps}   # valid: enumerate_orbits checked each
+    realized = {s.degenerate for s in reps}
     surjective = {d.members for d in degs} <= realized
     return {
         "genera": list(g.genera),

@@ -25,6 +25,9 @@ the non-free sets from its semistable line bundles.
 
 A ``SheafData`` holds its four fields and nothing else; its support, like
 every subcurve mask this module takes, passes ``DualGraph.check_mask``.
+The classes the enumeration builds skip the constructor's checks, which
+hold by construction: ``_sheaf`` builds them with ``SheafData._trusted``,
+and no other function does.
 """
 
 from __future__ import annotations
@@ -67,6 +70,28 @@ class SheafData:
         internal = set(g.internal_edges(self.support))
         if not self.nonfree <= internal:
             raise ValueError("non-free nodes must be internal to the support")
+
+    @classmethod
+    def _trusted(cls, graph: DualGraph, support: int, multidegree: tuple[int, ...],
+                 nonfree: frozenset[int]) -> "SheafData":
+        """A class the enumeration built, with none of the checks of the
+        public constructor; its one caller is ``_sheaf``, and a test keeps
+        it so.
+
+        Each removed check holds by construction there.  The support is a
+        mask in 1..full_mask: ``enumerate_semistable`` takes it from that
+        range and ``semistable_line_bundles`` passes it through
+        ``check_mask``.  The multidegree is a tuple of n exact ints, zero
+        off the support: ``_sheaf`` writes the degrees found for the
+        support's vertices (ints from ``range`` and integer sums) into
+        zeros.  The non-free nodes are edge indices taken from
+        ``internal_edges(support)``."""
+        I = object.__new__(cls)
+        object.__setattr__(I, "graph", graph)
+        object.__setattr__(I, "support", support)
+        object.__setattr__(I, "multidegree", multidegree)
+        object.__setattr__(I, "nonfree", nonfree)
+        return I
 
     @classmethod
     def line_bundle(cls, graph: DualGraph, multidegree) -> "SheafData":
@@ -493,10 +518,15 @@ def _line_bundles(s: VStability, supp: int, W: Optional[int]) -> list[tuple[int,
 
 
 def _sheaf(g: DualGraph, supp: int, verts, d, nonfree: frozenset) -> SheafData:
+    """The class (supp, d on ``verts``, nonfree) the enumeration found,
+    built by ``SheafData._trusted``: ``verts`` are the support's vertices
+    and ``nonfree`` holds internal edges of the support.
+    ``TestEnumeratedClassesPassTheChecks`` rebuilds each class through the
+    public constructor."""
     full = [0] * g.n
     for v, x in zip(verts, d):
         full[v] = x
-    return SheafData(g, supp, tuple(full), nonfree)
+    return SheafData._trusted(g, supp, tuple(full), nonfree)
 
 
 def _degree_window_for(g: DualGraph, s: VStability, supp: int, v: int) -> tuple[int, int]:

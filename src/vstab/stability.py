@@ -7,7 +7,9 @@ on every triple of pairwise-disjoint biconnected subcurves covering the
 curve.  Both the triple-based validator and the equivalent pair-union
 validator are implemented; they are cross-checked in the test suite.
 The translation action lives here too, so that each stability computes
-its tree-cut normal form once.
+its tree-cut normal form once.  The public constructor checks every
+field; the pair search's outputs, valid by construction, skip both those
+checks and validation through ``VStability._trusted``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,30 @@ class VStability:
                 "values must be aligned with the biconnected subcurves"
             )
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _trusted(cls, graph: DualGraph, chi: int, values: tuple[int, ...]) -> "VStability":
+        """A stability the pair search built, with none of the checks of
+        the public constructor and ``is_valid`` already True; its one
+        caller is ``posets._searched_stabilities``, and a test keeps it so.
+
+        Each removed check holds by construction there.  ``chi`` is 0 or
+        the characteristic of a valid stability, and each value is an
+        exact int: an entry of a window option, built from ``range``, or a
+        value of a valid stability plus 0 or 1.  ``values`` reads one
+        value per biconnected subcurve, in ``biconnected_subcurves`` order.
+        Validity: every pair (Y, Y^c) takes one of its options, whose sum
+        minus chi is 0 or 1, and the search keeps only assignments meeting
+        the pair-union rule on every admissible pair, so ``validate_via_union``
+        finds nothing, and it agrees with ``validate`` on every input."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "graph", graph)
+        object.__setattr__(s, "chi", chi)
+        object.__setattr__(s, "values", values)
+        # an instance attribute shadows the cached_property; unlike the
+        # property's own store, it materializes no per-instance dict
+        object.__setattr__(s, "is_valid", True)
+        return s
 
     @classmethod
     def from_dict(cls, graph: DualGraph, chi: int, mapping: dict[int, int]) -> "VStability":

@@ -245,6 +245,36 @@ class TestEnumCommands:
     def test_enum_orbits_budget_admits_the_ladder(self):
         assert max(len(make().bcon_pairs) for make in LADDER) <= cli.MAX_ORBIT_PAIRS
 
+    @pytest.mark.parametrize("extra", [[], ["--mod-symmetry"]], ids=["plain", "mod-symmetry"])
+    def test_enum_deg_over_budget_exits_two_at_once(self, tmp_path, capsys, extra):
+        # K7 has 63 complementary pairs: refused before the search, which
+        # on a seven-vertex graph of 48 pairs took 51 s for 245 001 subsets
+        k7 = DualGraph((0,) * 7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(k7)))
+        start = time.process_time()
+        assert main(["enum-deg", "--graph", str(graph)] + extra) == 2
+        assert time.process_time() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "63 complementary pairs" in captured.err
+        assert str(cli.MAX_DEG_PAIRS) in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--mod-symmetry"]], ids=["plain", "mod-symmetry"])
+    @pytest.mark.parametrize("budget, code", [(1, 0), (0, 2)])
+    def test_enum_deg_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                          extra, budget, code):
+        # the banana has one complementary pair
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_DEG_PAIRS", budget)
+        assert main(["enum-deg", "--graph", graph] + extra) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_enum_deg_budget_admits_the_ladder_and_k6(self):
+        k6 = DualGraph((0,) * 6, tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
+        assert max(len(make().bcon_pairs) for make in LADDER) <= cli.MAX_DEG_PAIRS
+        assert len(k6.bcon_pairs) <= cli.MAX_DEG_PAIRS
+
     MOD_SYMMETRY = [["enum-deg", "--mod-symmetry"], ["poset", "--kind", "deg", "--mod-symmetry"]]
 
     @pytest.mark.parametrize("argv", MOD_SYMMETRY, ids=["enum-deg", "poset"])

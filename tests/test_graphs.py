@@ -129,13 +129,14 @@ BAD_MASKS = pytest.mark.parametrize(
 class TestMaskRange:
     @pytest.mark.parametrize("method", [
         "connected_components", "subcurve_genus", "is_connected", "internal_edges",
-        "internal_edge_count", "complement", "induced",
+        "internal_edge_count", "complement", "induced", "tree_valence",
     ])
     @BAD_MASKS
     def test_refused(self, method, Y):
         # connected_components(-1) and subcurve_genus(-1) once raised
         # IndexError, internal_edges(-1) gave every edge, complement(-1) gave
-        # -4 and is_connected(True) answered for the mask 0b01
+        # -4, is_connected(True) answered for the mask 0b01, and the spanning
+        # tree's valence gave 0 for -1 and raised TypeError on 1.5
         with pytest.raises(DomainMismatch):
             getattr(banana(), method)(Y)
 
@@ -223,9 +224,8 @@ class TestEdgeCounts:
     def test_tree_cut_valence_one(self):
         for make in POOL_N4:
             g = make()
-            tree = g.spanning_tree
-            for _, child in zip(tree.edges, tree.child_masks):
-                assert tree.valence(child) == 1
+            for child in g.spanning_tree.child_masks:
+                assert g.tree_valence(child) == 1
 
 
 class TestSubcurveTables:

@@ -16,7 +16,7 @@ from conftest import LADDER
 QUERIES = [
     "check_mask", "complement", "is_connected", "connected_components",
     "biconnected_within", "internal_edges", "internal_edge_count",
-    "subcurve_genus", "induced",
+    "subcurve_genus", "induced", "tree_valence",
 ]
 
 

@@ -241,6 +241,40 @@ class TestPairSearch:
             assert _sha([s.values for s in out]) == digest
 
 
+class TestSearchedStabilitiesPassTheChecks:
+    """The checks ``VStability._trusted`` skips, asserted over the pinned
+    families: every stability of the window, the orbit enumeration and
+    ``dominating_stabilities`` of each degenerate orbit, rebuilt through the
+    public constructor, equals the searched one and passes both validators.
+    ``is_valid`` is not asked, since the search sets it."""
+
+    @staticmethod
+    def searched(g):
+        yield from enumerate_window_stabilities(g)
+        orbits = enumerate_orbits(g)
+        yield from orbits
+        for s in orbits:
+            if s.degenerate:
+                yield from dominating_stabilities(s)
+
+    @classmethod
+    def check(cls, g):
+        checked = 0
+        for s in cls.searched(g):
+            t = VStability(g, s.chi, s.values)
+            assert t == s
+            assert t.validate().ok and t.validate_via_union().ok, s.values
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
+    def test_ladder(self, make):
+        assert self.check(make()) > 0
+
+    def test_catalogue(self):
+        assert sum(map(self.check, connected_multigraphs(5, 7))) > 0
+
+
 @st.composite
 def pair_search_inputs(draw):
     """Up to six pairs (2i, 2i + 1) with 0-4 options each, and distinct

@@ -518,6 +518,26 @@ class TestEnumerate:
                 ]
 
 
+class TestEnumeratedClassesPassTheChecks:
+    """The checks ``SheafData._trusted`` skips, asserted over every class
+    ``enumerate_semistable`` (all supports) and ``semistable_line_bundles``
+    build for every orbit of these graphs: each, rebuilt through the
+    public constructor, equals the class built."""
+
+    @pytest.mark.parametrize("make", [banana, triangle, cycle4, k4], ids=lambda f: f.__name__)
+    def test_rebuilt_through_the_public_constructor(self, make):
+        g = make()
+        checked = 0
+        for s in enumerate_orbits(g):
+            built = enumerate_semistable(g, s)
+            for supp in range(1, g.full_mask + 1):
+                built += semistable_line_bundles(s, supp)
+            for I in built:
+                assert SheafData(g, I.support, I.multidegree, I.nonfree) == I
+            checked += len(built)
+        assert checked > 0
+
+
 class TestCubeRule:
     """(N, d) against its lifts, by is_semistable and is_stable alone."""
 
