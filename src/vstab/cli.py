@@ -11,6 +11,7 @@ table.  Identical inputs and configuration give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,13 +46,13 @@ MAX_SCAN_WALK = 20_000_000
 # is refused.  The ladder graphs have at most 15 pairs (K5, C6).
 MAX_ORBIT_PAIRS = 21
 
-# The most complementary pairs `enum-deg` searches for degeneracy subsets,
-# with or without --mod-symmetry, checked before the search.  Below the
-# bound, K6 (31 pairs, 3708 subsets) took 0.40 s of CPU time and C8 (28
-# pairs, 4140) 0.57 s; at it, the seven-vertex graphs of 33 pairs tried
-# (9169 and 10 972 subsets, up to 14 MB of JSON) took 1.3-1.4 s and under
-# 75 MB peak RSS (Python 3.11.7, one core of a 2-vCPU box).  Past it the
-# subsets multiply: a seven-vertex graph of 36 pairs has 21 038 (3.4 s),
+# The most complementary pairs `enum-deg` and `poset --kind deg` search for
+# degeneracy subsets, with or without --mod-symmetry, checked before the
+# search.  Below the bound, K6 (31 pairs, 3708 subsets) took 0.40 s of CPU
+# time and C8 (28 pairs, 4140) 0.57 s; at it, the seven-vertex graphs of 33
+# pairs tried (9169 and 10 972 subsets, up to 14 MB of JSON) took 1.3-1.4 s
+# and under 75 MB peak RSS (Python 3.11.7, one core of a 2-vCPU box).  Past
+# it the subsets multiply: a seven-vertex graph of 36 pairs has 21 038 (3.4 s),
 # the wheel on seven vertices plus a chord (40 pairs) 37 620 (5.9 s, 53
 # MB of JSON), and with a second chord (48 pairs) 245 001 (51 s, 416 MB).
 # The ladder graphs have at most 15 pairs.
@@ -134,6 +135,14 @@ def _check_symmetry_size(g: DualGraph) -> None:
         )
 
 
+def _check_deg_pairs(g: DualGraph, command: str) -> None:
+    if len(g.bcon_pairs) > MAX_DEG_PAIRS:
+        raise ValueError(
+            f"{command}: the graph has {len(g.bcon_pairs)} complementary pairs of "
+            f"biconnected subcurves, more than {MAX_DEG_PAIRS} for one degeneracy search"
+        )
+
+
 def _window_work(g: DualGraph, window: int, all_supports: bool) -> int:
     """The (non-free node set, multidegree) pairs in the box of `semistable
     --window`: on a support of k components with e internal edges, 2**e node
@@ -212,11 +221,7 @@ def cmd_enum_deg(args) -> int:
     g = _graph(args)
     if args.mod_symmetry:
         _check_symmetry_size(g)
-    if len(g.bcon_pairs) > MAX_DEG_PAIRS:
-        raise ValueError(
-            f"enum-deg: the graph has {len(g.bcon_pairs)} complementary pairs of "
-            f"biconnected subcurves, more than {MAX_DEG_PAIRS} for one degeneracy search"
-        )
+    _check_deg_pairs(g, "enum-deg")
     degs = posets.enumerate_degeneracy_subsets(g)
     if args.mod_symmetry:
         reps, _ = posets.deg_symmetry_classes(g, degs)
@@ -261,6 +266,7 @@ def cmd_poset(args) -> int:
     if args.kind == "deg":
         if args.mod_symmetry:
             _check_symmetry_size(g)
+        _check_deg_pairs(g, "poset --kind deg")
         degs = posets.enumerate_degeneracy_subsets(g)
         if len(degs) > MAX_POSET_ELEMENTS:
             raise ValueError(
@@ -412,8 +418,12 @@ def cmd_qdeg_scan(args) -> int:
             f"--max-vertices {args.max_vertices} --max-edges {args.max_edges} charges "
             f"more than {MAX_SCAN_WALK} edges; lower either flag"
         )
-    for g in graphenum.connected_multigraphs(args.max_vertices, args.max_edges):
-        report = posets.qdeg_scan(g)
+    # one graph at a time: each is dropped, with its cached tables, once
+    # its report is written
+    graphs = graphenum.connected_multigraphs(args.max_vertices, args.max_edges)
+    graphs.reverse()
+    while graphs:
+        report = posets.qdeg_scan(graphs.pop())
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -421,7 +431,10 @@ def cmd_qdeg_scan(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="vstab",
         description="Stability conditions and degenerations on dual graphs of nodal curves.",

@@ -276,6 +276,29 @@ class DualGraph:
                     out.append((Y1, Y2, Y1 | Y2))
         return tuple(out)
 
+    @cached_property
+    def witness_rules(self) -> tuple[dict, tuple, tuple]:
+        """The tables of the dominance witness rule (``posets``) on pair
+        indices, plain ints only: (side, pair rules, triple rules).
+
+        ``side[Y]`` is (p, s): Y is side s of pair p of ``bcon_pairs``, 0
+        the smaller.  Each admissible pair (A, B, U) is (the bitmask of the
+        pairs of A and B, their indices a and b, the pair of U, 1 ^ s_A ^
+        s_B); each covering triple is (the bitmask of its three pairs, its
+        three (pair, side) literals)."""
+        side = {}
+        for p, (Y, Yc) in enumerate(self.bcon_pairs):
+            side[Y], side[Yc] = (p, 0), (p, 1)
+        pair_rules = []
+        for A, B, U in self.admissible_pairs:
+            (a, sa), (b, sb) = side[A], side[B]
+            pair_rules.append((1 << a | 1 << b, a, b, side[U][0], 1 ^ sa ^ sb))
+        triple_rules = []
+        for T in self.covering_triples:
+            literals = tuple(map(side.__getitem__, T))
+            triple_rules.append((sum(1 << p for p, _ in literals), literals))
+        return side, tuple(pair_rules), tuple(triple_rules)
+
     def biconnected_within(self, Y: int) -> tuple[int, ...]:
         """Biconnected subcurves of Y viewed as a curve in its own right:
         nonempty proper Z <= Y with Z and Y - Z connected, ascending."""

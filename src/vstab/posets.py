@@ -1,36 +1,41 @@
 """Posets of degeneracy subsets and of V-stabilities, normal forms under
 translation, orbit enumeration, and the evidence scanner.
 
-Degeneracy subsets, dominance witnesses, window stabilities and the
-stabilities dominating a given one are all choices on the complementary
-pairs (Y, Y^c) of biconnected subcurves, and one depth-first search,
-``_pair_search``, finds them: each pair takes its options in order, and
-each constraint (a pair union that must stay inside or obey the
-pair-union rule, or a pair or covering triple a witness must meet) is
-judged at the depth where its last pair is set.  There it is a row, the
-bitmask of that depth's options for which it holds, computed once for
-each choice of options on its earlier pairs and kept; a node ANDs its
-rows and tries the surviving options in order, so the output order is
-that of the plain nested loop.  The walk is iterative and yields one live
-assignment, which callers read at once.  Dominance is downward closed in
-its upper argument (the restriction lemma in ``deg_leq``), so a set that
-dominates the top subset, decided once per set, dominates every set
-containing it; any other included pair is decided by its first witness
-subset E.  Window stabilities, orbit representatives and the stabilities
+Degeneracy subsets, window stabilities and the stabilities dominating a
+given one are choices on the complementary pairs (Y, Y^c) of biconnected
+subcurves, and one depth-first search, ``_pair_search``, finds them: each
+pair takes its options in order, and each constraint (a pair union that
+must stay inside or obey the pair-union rule) is judged at the depth where
+its last pair is set.  There it is a row, the bitmask of that depth's
+options for which it holds, computed once for each choice of options on
+its earlier pairs and kept; a node ANDs its rows and tries the surviving
+options in order, so the output order is that of the plain nested loop.
+The walk is iterative and yields one live assignment, which callers read
+at once.  Window stabilities, orbit representatives and the stabilities
 dominating a given one come from one search under the pair-union rule,
 each stability built in search order by the trusted constructor: the
 search enforces every condition ``validate`` checks, so none is run
 again.  The tree-valence window is stated once, by ``stability_window``.
 Orbit enumeration searches the window stabilities with the tree-cut
 pattern, each its own normal form, with the pinned tree-cut pairs first,
-and sorts them once by value.  A Hasse diagram is built from rows, one bitmask per
-element of the elements above it: ``hasse`` fills them with one predicate
-call per ordered pair, and ``dominance_rows`` fills the dominance order's
-from the proper supersets of each set (inclusion is necessary for
-dominance), kept whole for a set that dominates the top subset and
-otherwise filtered by witness.  The evidence scanner reads the covers of
-those rows and decides rankedness by one ascending sweep of ranks over them.
-The subcurves a move takes pass ``DualGraph.check_mask``.
+and sorts them once by value.
+
+Dominance witnesses have their own kernel, ``_witness_sides``, on the
+bitmasks of the pairs two subsets hold (``DualGraph.witness_rules``): a
+witness takes one side of each pair between them, the pair rule is a
+parity equation on those sides, merged by union-find, and the triple rule
+is "not all equal", searched over the class roots.  Dominance is downward
+closed in its upper argument (the restriction lemma in ``deg_leq``), so a
+set that dominates the top subset, decided once per set, dominates every
+set containing it; any other included pair is decided by its first
+witness.  A Hasse diagram is built from rows, one bitmask per element of
+the elements above it: ``hasse`` fills them with one predicate call per
+ordered pair, and ``dominance_rows`` fills the dominance order's from the
+proper supersets of each set (inclusion is necessary for dominance), kept
+whole for a set that dominates the top subset and otherwise filtered by
+witness.  The evidence scanner reads the covers of those rows and decides
+rankedness by one ascending sweep of ranks over them.  The subcurves a
+move takes pass ``DualGraph.check_mask``.
 """
 
 from __future__ import annotations
@@ -186,10 +191,14 @@ def _union_closed(constraint, inside) -> bool:
 
 def enumerate_degeneracy_subsets(g: DualGraph) -> list[DegeneracySet]:
     """All subsets of the biconnected subcurves closed under complement and
-    disjoint-union-into-biconnected, smallest first."""
+    disjoint-union-into-biconnected, smallest first, each built by
+    ``DegeneracySet._trusted``: the search takes both sides of a pair or
+    neither and keeps only the union-closed choices, so the public
+    constructor's checks hold.  ``TestEnumeratedSubsetsPassTheChecks``
+    rebuilds each output through that constructor."""
     pairs = g.bcon_pairs
     out = [
-        DegeneracySet(g, frozenset(Y for Y, inside in chosen.items() if inside))
+        DegeneracySet._trusted(g, frozenset(Y for Y, inside in chosen.items() if inside))
         for chosen in _pair_search(
             pairs, [((False, False), (True, True))] * len(pairs),
             g.admissible_pairs, _union_closed,
@@ -231,39 +240,121 @@ def _count_decompositions(Y: int, mins: list[int]) -> int:
     return total
 
 
-def _meets_properly(constraint, in_E) -> bool:
-    """A constraint (a pair or a triple of subcurves) meets E without lying
-    inside it: a pair exactly once, a triple once or twice."""
-    return 0 < sum(in_E[Z] for Z in constraint) < len(constraint)
+def _witness_sides(g: DualGraph, inner: int, outer: int) -> Iterator[int]:
+    """The witnesses of D1 >= D2 for degeneracy subsets D1 <= D2 of ``g``,
+    given by the bitmasks ``inner`` and ``outer`` of their pairs (bit p for
+    pair p of ``bcon_pairs``), as side bitmasks: bit p of a witness, for p
+    in ``outer & ~inner``, is the side of pair p it takes (0 the smaller).
+    They come in the product order of those sides, pairs ascending, side 0
+    first.
+
+    With x_p the side taken on pair p, Z lies in E iff x_p = s_Z, the side
+    Z is.  A disjoint pair (A, B) of D2 - D1 whose union lies in D1 must
+    meet E exactly once, [A in E] xor [B in E] = 1, which is the parity
+    equation x_a xor x_b = 1 xor s_A xor s_B.  Union-find merges these
+    equations, each class rooted at its lowest pair and every other pair p
+    bound as x_p = x_root xor q_p; an odd cycle leaves no witness.  A
+    covering triple of D2 - D1 must meet E once or twice: its three values
+    x_p xor s_Z must not be all equal, which on the roots reads
+    x_r xor (s_Z xor q_p).  Two of them on one root with different
+    constants always differ; otherwise the triple forbids, at its latest
+    root, the side that would make them all 0 or all 1.  A depth-first
+    search over the pairs ascending tries each root's sides, 0 first,
+    judging its triples there, and gives every other pair the one side its
+    parent, a lower pair, forces.  So two witnesses first differ at a root,
+    and the search's order is the product order over every pair.
+    """
+    _, pair_rules, triple_rules = g.witness_rules
+    diff = outer & ~inner
+    up = list(range(len(g.bcon_pairs)))   # union-find parent, below its child
+    q = [0] * len(up)                     # x_p xor x_up[p]
+    for m, a, b, u, parity in pair_rules:
+        if m & diff == m and inner >> u & 1:
+            while up[a] != a:
+                parity ^= q[a]
+                a = up[a]
+            while up[b] != b:
+                parity ^= q[b]
+                b = up[b]
+            if a == b:
+                if parity:
+                    return
+            elif a < b:
+                up[b], q[b] = a, parity
+            else:
+                up[a], q[a] = b, parity
+    # per root, its triples as (mask, values, s): on the earlier roots in
+    # mask, x equal to values makes side s of the root give all values 0,
+    # and x equal to values ^ mask makes side 1 - s give all 1
+    filed: dict[int, list] = {}
+    for m, literals in triple_rules:
+        if m & diff != m:
+            continue
+        want = {}
+        for p, s in literals:
+            while up[p] != p:
+                s ^= q[p]
+                p = up[p]
+            if want.setdefault(p, s) != s:
+                break
+        else:
+            last = max(want)
+            s = want.pop(last)
+            filed.setdefault(last, []).append(
+                (sum(1 << r for r in want), sum(v << r for r, v in want.items()), s))
+    pairs = vertices_of(diff)
+    if not pairs:
+        yield 0
+        return
+    top = len(pairs) - 1
+    todo = [-1] * len(pairs)   # per depth, the sides still to try; -1 before they are judged
+    x = depth = 0
+    while depth >= 0:
+        bits = todo[depth]
+        p = pairs[depth]
+        if bits < 0:
+            if up[p] != p:
+                bits = 1 << ((x >> up[p] & 1) ^ q[p])
+            else:
+                bits = 3
+                for mask, values, s in filed.get(p, ()):
+                    y = x & mask
+                    if y == values:
+                        bits &= 2 >> s
+                    if y == values ^ mask:
+                        bits &= 1 << s
+        if not bits:
+            depth -= 1
+            continue
+        if bits & 1:
+            x &= ~(1 << p)
+            todo[depth] = bits & 2
+        else:
+            x |= 1 << p
+            todo[depth] = 0
+        if depth < top:
+            depth += 1
+            todo[depth] = -1
+        else:
+            yield x
 
 
 def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[int]]:
     """Witness subsets E certifying D1 >= D2, in a deterministic order.
 
-    E picks one member of each complementary pair of D2 - D1 (the smaller
-    side first); every disjoint pair in D2 - D1 whose union lies in D1 must
-    meet E exactly once, and every pairwise-disjoint covering triple in
-    D2 - D1 must meet E once or twice.  The pairs and both constraint
-    families are read off the graph's ``bcon_pairs``, ``admissible_pairs``
-    and ``covering_triples``.
+    E picks one member of each complementary pair of D2 - D1; every
+    disjoint pair in D2 - D1 whose union lies in D1 must meet E exactly
+    once, and every pairwise-disjoint covering triple in D2 - D1 must meet
+    E once or twice.  They come from :func:`_witness_sides`, in product
+    order over the pairs of D2 - D1 in ``bcon_pairs`` order, the smaller
+    side first.
     """
-    if D1.graph != D2.graph:
+    if D1.graph != D2.graph or not D1.members <= D2.members:
         return
-    if not D1.members <= D2.members:
-        return
-    g = D1.graph
-    diff = D2.members - D1.members
-    pairs = [pair for pair in g.bcon_pairs if pair[0] in diff]
-    constraints = [
-        (A, B) for A, B, U in g.admissible_pairs
-        if A in diff and B in diff and U in D1.members
-    ]
-    constraints += [T for T in g.covering_triples if diff.issuperset(T)]
-    for in_E in _pair_search(
-        pairs, [((True, False), (False, True))] * len(pairs),
-        constraints, _meets_properly,
-    ):
-        yield frozenset(Y for Y, chosen in in_E.items() if chosen)
+    pairs = D1.graph.bcon_pairs
+    diff = vertices_of(D2.pair_mask & ~D1.pair_mask)
+    for X in _witness_sides(D1.graph, D1.pair_mask, D2.pair_mask):
+        yield frozenset(pairs[p][X >> p & 1] for p in diff)
 
 
 def deg_leq(D1: DegeneracySet, D2: DegeneracySet) -> bool:
@@ -280,7 +371,12 @@ def deg_leq(D1: DegeneracySet, D2: DegeneracySet) -> bool:
     included pairs are searched."""
     if not D1.members <= D2.members or D1.graph != D2.graph:
         return False
-    return D1.dominates_top or deg_witness(D1, D2) is not None
+    return D1.dominates_top or _dominates(D1, D2)
+
+
+def _dominates(D1: DegeneracySet, D2: DegeneracySet) -> bool:
+    """Whether D1 >= D2 has a witness, for D1 <= D2 on one graph."""
+    return next(_witness_sides(D1.graph, D1.pair_mask, D2.pair_mask), None) is not None
 
 
 def deg_witness(D1: DegeneracySet, D2: DegeneracySet) -> Optional[frozenset[int]]:
@@ -603,7 +699,7 @@ def dominance_rows(degs: list[DegeneracySet]) -> list[int]:
         for Y in d.members:
             row &= holders[Y]
         if row and not d.dominates_top:
-            row = sum(1 << j for j in vertices_of(row) if deg_witness(d, degs[j]) is not None)
+            row = sum(1 << j for j in vertices_of(row) if _dominates(d, degs[j]))
         rows.append(row)
     return rows
 

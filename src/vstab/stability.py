@@ -9,7 +9,8 @@ validator are implemented; they are cross-checked in the test suite.
 The translation action lives here too, so that each stability computes
 its tree-cut normal form once.  The public constructor checks every
 field; the pair search's outputs, valid by construction, skip both those
-checks and validation through ``VStability._trusted``.
+checks and validation through ``VStability._trusted``, and the degeneracy
+subsets it enumerates skip their checks through ``DegeneracySet._trusted``.
 """
 
 from __future__ import annotations
@@ -370,16 +371,43 @@ class DegeneracySet:
     def __len__(self) -> int:
         return len(self.members)
 
+    @classmethod
+    def _trusted(cls, graph: DualGraph, members: frozenset[int]) -> "DegeneracySet":
+        """A degeneracy subset the library's search built, with none of the
+        checks of the public constructor; its one caller is
+        ``posets.enumerate_degeneracy_subsets``, and a test keeps it so.
+
+        Each removed check holds by construction there: ``members`` is a
+        frozenset holding both sides of each chosen pair of
+        ``bcon_pairs``, so its members are biconnected subcurves, exact
+        ints, and closed under complement, and the search keeps only the
+        choices under which every admissible pair with both parts inside
+        has its union inside."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "graph", graph)
+        object.__setattr__(d, "members", members)
+        return d
+
+    @cached_property
+    def pair_mask(self) -> int:
+        """The pairs of ``graph.bcon_pairs`` this set holds, as a bitmask
+        of their indices."""
+        side = self.graph.witness_rules[0]
+        out = 0
+        for Y in self.members:
+            out |= 1 << side[Y][0]
+        return out
+
     @cached_property
     def dominates_top(self) -> bool:
         """Whether this set dominates the top degeneracy subset, the set of
         all biconnected subcurves, decided once by one witness search.  By
         the restriction lemma (:func:`vstab.posets.deg_leq`) it then
         dominates every degeneracy subset that contains it."""
-        from .posets import deg_witness   # posets imports this module
+        from .posets import _witness_sides   # posets imports this module
 
-        top = DegeneracySet(self.graph, frozenset(self.graph.biconnected_subcurves))
-        return deg_witness(self, top) is not None
+        top = (1 << len(self.graph.bcon_pairs)) - 1
+        return next(_witness_sides(self.graph, self.pair_mask, top), None) is not None
 
 
 def extended_value_table(s: VStability) -> list[int]:

@@ -17,6 +17,7 @@ import pytest
 from vstab import DualGraph, SheafData
 from vstab.graphs import permute_mask, solve_equalities, vertices_of
 from vstab.limits import laplacian
+from vstab.posets import _pair_search
 from vstab.sheaves import _bounded_sums, _degree_window_for, is_semistable
 from vstab.stability import ValidationReport, Violation
 
@@ -490,6 +491,36 @@ def oracle_check_deg_witness(D1, D2, E) -> bool:
                 if (Z1 in E) + (Z2 in E) + (Z3 in E) not in (1, 2):
                     return False
     return True
+
+
+def _meets_properly(constraint, in_E) -> bool:
+    """A constraint (a pair or a triple of subcurves) meets E without lying
+    inside it: a pair exactly once, a triple once or twice."""
+    return 0 < sum(in_E[Z] for Z in constraint) < len(constraint)
+
+
+def oracle_pair_search_witnesses(D1, D2):
+    """The witnesses of D1 >= D2 found by the general pair search: one
+    option per side of each pair of D2 - D1, the smaller side first, under
+    every disjoint pair of D2 - D1 with union in D1 and every covering
+    triple inside D2 - D1, filtered from the graph's tables per call.  It
+    is the search the parity-class kernel ``posets._witness_sides``
+    replaced, and must yield the same witnesses in the same order."""
+    if D1.graph != D2.graph or not D1.members <= D2.members:
+        return
+    g = D1.graph
+    diff = D2.members - D1.members
+    pairs = [pair for pair in g.bcon_pairs if pair[0] in diff]
+    constraints = [
+        (A, B) for A, B, U in g.admissible_pairs
+        if A in diff and B in diff and U in D1.members
+    ]
+    constraints += [T for T in g.covering_triples if diff.issuperset(T)]
+    for in_E in _pair_search(
+        pairs, [((True, False), (False, True))] * len(pairs),
+        constraints, _meets_properly,
+    ):
+        yield frozenset(Y for Y, chosen in in_E.items() if chosen)
 
 
 def all_subcurves(g: DualGraph):

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,32 @@ class TestEnumCommands:
         assert main(["enum-deg", "--graph", graph] + extra) == code
         assert bool(capsys.readouterr().out) == (code == 0)
 
+    def test_deg_poset_over_pair_budget_exits_two_at_once(self, tmp_path, capsys):
+        # the wheel on seven vertices plus two chords has 48 complementary
+        # pairs and 245 001 degeneracy subsets: refused before the search,
+        # which took 11.3 s of CPU time before the element budget refused it
+        rim = [(i, i % 6 + 1) for i in range(1, 7)]
+        wheel = DualGraph((0,) * 7, [(0, i) for i in range(1, 7)] + rim + [(1, 4), (2, 5)])
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_to_json(wheel)))
+        start = time.process_time()
+        assert main(["poset", "--graph", str(graph), "--kind", "deg"]) == 2
+        assert time.process_time() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "poset --kind deg" in captured.err
+        assert "48 complementary pairs" in captured.err
+        assert str(cli.MAX_DEG_PAIRS) in captured.err
+
+    @pytest.mark.parametrize("budget, code", [(1, 0), (0, 2)])
+    def test_deg_poset_pair_budget_is_inclusive(self, banana_files, capsys, monkeypatch,
+                                                budget, code):
+        # the banana has one complementary pair
+        graph, _ = banana_files
+        monkeypatch.setattr(cli, "MAX_DEG_PAIRS", budget)
+        assert main(["poset", "--graph", graph, "--kind", "deg"]) == code
+        assert bool(capsys.readouterr().out) == (code == 0)
+
     def test_enum_deg_budget_admits_the_ladder_and_k6(self):
         k6 = DualGraph((0,) * 6, tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
         assert max(len(make().bcon_pairs) for make in LADDER) <= cli.MAX_DEG_PAIRS
@@ -517,6 +545,29 @@ class TestScanCommand:
         assert banana_row["ranked"] is True and banana_row["rank"] == 1
 
 
+    def test_qdeg_scan_holds_one_graph_at_a_time(self, capsys, monkeypatch):
+        # each catalogue graph, with its cached tables, is freed once its
+        # report is written; a graph holds no reference cycle, so this
+        # holds with the cyclic collector off
+        seen, alive = [], []
+        scan = cli.posets.qdeg_scan
+
+        def spy(g):
+            alive.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(g))
+            return scan(g)
+
+        monkeypatch.setattr(cli.posets, "qdeg_scan", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["qdeg-scan", "--max-vertices", "4", "--max-edges", "5"]) == 0
+        finally:
+            gc.enable()
+        assert len(alive) == len(capsys.readouterr().out.splitlines()) > 10
+        assert not any(alive)
+
+
 class TestClosedPipe:
     def test_reader_closing_stdout_exits_141_without_traceback(self, tmp_path):
         # the K5 orbit document (3.7 MB) overfills the pipe, so the writer
@@ -546,6 +597,38 @@ class TestDeterminism:
         main(["enum-orbits", "--graph", graph])
         second = capsys.readouterr().out
         assert first == second
+
+
+    def test_repeated_calls_share_one_parser_and_print_identical_bytes(
+            self, banana_files, capsys):
+        # the parser is built once per process; successes, refusals and
+        # argparse's own exits print the same bytes on every call
+        graph, stability = banana_files
+        spath = stability({1: 0, 2: 0})
+        calls = [
+            ["enum-deg", "--graph", graph],
+            ["poset", "--graph", graph, "--kind", "vstab", "--format", "table"],
+            ["validate", "--graph", graph, "--stability", spath],
+            ["poset", "--graph", graph, "--kind", "deg", "--chi", "3"],
+            ["qdeg-scan", "--max-vertices", "0"],
+            ["enum-deg"],
+            ["no-such-command"],
+            ["poset", "--graph", graph, "--kind", "neither"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [run(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, ("exit", 2), ("exit", 2), ("exit", 2)]
+        assert all(out or err for _, out, err in first)
+        assert [run(argv) for argv in calls] == first
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestWindowAndBounds:

@@ -59,6 +59,7 @@ from conftest import (
     oracle_deg_symmetry_key,
     oracle_maximal_chain_lengths,
     oracle_minimal_elements,
+    oracle_pair_search_witnesses,
     path3,
     single_vertex,
     triangle,
@@ -273,6 +274,62 @@ class TestSearchedStabilitiesPassTheChecks:
 
     def test_catalogue(self):
         assert sum(map(self.check, connected_multigraphs(5, 7))) > 0
+
+
+class TestEnumeratedSubsetsPassTheChecks:
+    """The checks ``DegeneracySet._trusted`` skips: every degeneracy subset
+    of the ladder and of the (5, 7) catalogue, rebuilt through the public
+    constructor, passes its checks and equals the enumerated one."""
+
+    @staticmethod
+    def check(g):
+        degs = enumerate_degeneracy_subsets(g)
+        for d in degs:
+            assert DegeneracySet(g, set(d.members)) == d
+            assert type(d.members) is frozenset
+        return len(degs)
+
+    def test_ladder(self):
+        assert [self.check(make()) for make in LADDER] == [2, 19, 52, 137, 203, 76]
+
+    def test_catalogue(self):
+        assert sum(map(self.check, connected_multigraphs(5, 7))) == 4206
+
+
+class TestWitnessKernelMatchesPairSearch:
+    """The parity-class witness kernel against the general pair search it
+    replaced, kept as ``oracle_pair_search_witnesses``."""
+
+    def test_enumeration(self):
+        checked = 0
+        for g in [k4(), cycle5()] + connected_multigraphs(4, 6):
+            degs = enumerate_degeneracy_subsets(g)
+            for D1, D2 in itertools.product(degs, repeat=2):
+                if D1.members <= D2.members:
+                    assert list(deg_witnesses(D1, D2)) == list(oracle_pair_search_witnesses(D1, D2))
+                    checked += 1
+        assert checked == 2126
+
+    def test_dominates_top_on_catalogue(self):
+        checked = dominant = 0
+        for g in connected_multigraphs(5, 7):
+            top = DegeneracySet(g, frozenset(g.biconnected_subcurves))
+            for d in enumerate_degeneracy_subsets(g):
+                found = next(oracle_pair_search_witnesses(d, top), None) is not None
+                assert d.dominates_top == found
+                checked += 1
+                dominant += found
+        assert checked == 4206 and 0 < dominant < checked
+
+    @pytest.mark.parametrize("make, true", [(k5, 1263), (cycle6, 2471)], ids=["k5", "cycle6"])
+    def test_dominance_matrix(self, make, true):
+        degs = enumerate_degeneracy_subsets(make())
+        dominant = 0
+        for a, b in itertools.product(degs, repeat=2):
+            found = next(oracle_pair_search_witnesses(a, b), None) is not None
+            assert deg_leq(a, b) == found
+            dominant += found
+        assert dominant == true
 
 
 @st.composite

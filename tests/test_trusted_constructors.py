@@ -1,10 +1,11 @@
 """The trusted constructors skip every check of the public ones, so each
 has exactly one caller: the builder whose docstring says why its outputs
 pass those checks.  ``VStability._trusted`` is named only in
-``posets._searched_stabilities`` and ``SheafData._trusted`` only in
-``sheaves._sheaf``; a reference from anywhere else in the package
-(``serialize`` and ``cli`` among them), or by a string such as a
-``getattr`` name, fails here.
+``posets._searched_stabilities``, ``SheafData._trusted`` only in
+``sheaves._sheaf`` and ``DegeneracySet._trusted`` only in
+``posets.enumerate_degeneracy_subsets``; a reference from anywhere else
+in the package (``serialize`` and ``cli`` among them), or by a string
+such as a ``getattr`` name, fails here.
 """
 
 import ast
@@ -18,6 +19,7 @@ TRUSTED = {
     # class: (module defining it, (module, function) of its one caller)
     "VStability": ("stability.py", ("posets.py", "_searched_stabilities")),
     "SheafData": ("sheaves.py", ("sheaves.py", "_sheaf")),
+    "DegeneracySet": ("stability.py", ("posets.py", "enumerate_degeneracy_subsets")),
 }
 
 
