@@ -20,15 +20,15 @@ Orbit enumeration searches the window stabilities with the tree-cut
 pattern, each its own normal form, with the pinned tree-cut pairs first,
 and sorts them once by value.
 
-Dominance witnesses have their own kernel, ``_witness_sides``, on the
-bitmasks of the pairs two subsets hold (``DualGraph.witness_rules``): a
-witness takes one side of each pair between them, the pair rule is a
-parity equation on those sides, merged by union-find, and the triple rule
-is "not all equal", searched over the class roots.  Dominance is downward
-closed in its upper argument (the restriction lemma in ``deg_leq``), so a
-set that dominates the top subset, decided once per set, dominates every
-set containing it; any other included pair is decided by its first
-witness.  A Hasse diagram is built from rows, one bitmask per element of
+Dominance witnesses have their own kernel, ``stability._witness_sides``
+beside ``DegeneracySet``, on the bitmasks of the pairs two subsets hold
+(``DualGraph.witness_rules``): a witness takes one side of each pair
+between them, the pair rule is a parity equation on those sides, merged
+by union-find, and the triple rule is "not all equal", searched over the
+class roots.  Dominance is downward closed in its upper argument (the
+restriction lemma in ``deg_leq``), so a set that dominates the top
+subset, decided once per set, dominates every set containing it; any
+other included pair is decided by its first witness.  A Hasse diagram is built from rows, one bitmask per element of
 the elements above it: ``hasse`` fills them with one predicate call per
 ordered pair, and ``dominance_rows`` fills the dominance order's from the
 proper supersets of each set (inclusion is necessary for dominance), kept
@@ -52,7 +52,7 @@ from .errors import (
     NotAPartialOrder,
 )
 from .graphs import DualGraph, vertices_of
-from .stability import DegeneracySet, VStability, translate
+from .stability import DegeneracySet, VStability, _witness_sides, translate
 
 # -- the pair search -------------------------------------------------------------
 
@@ -238,105 +238,6 @@ def _count_decompositions(Y: int, mins: list[int]) -> int:
         if m & low and m & Y == m:
             total += _count_decompositions(Y ^ m, mins)
     return total
-
-
-def _witness_sides(g: DualGraph, inner: int, outer: int) -> Iterator[int]:
-    """The witnesses of D1 >= D2 for degeneracy subsets D1 <= D2 of ``g``,
-    given by the bitmasks ``inner`` and ``outer`` of their pairs (bit p for
-    pair p of ``bcon_pairs``), as side bitmasks: bit p of a witness, for p
-    in ``outer & ~inner``, is the side of pair p it takes (0 the smaller).
-    They come in the product order of those sides, pairs ascending, side 0
-    first.
-
-    With x_p the side taken on pair p, Z lies in E iff x_p = s_Z, the side
-    Z is.  A disjoint pair (A, B) of D2 - D1 whose union lies in D1 must
-    meet E exactly once, [A in E] xor [B in E] = 1, which is the parity
-    equation x_a xor x_b = 1 xor s_A xor s_B.  Union-find merges these
-    equations, each class rooted at its lowest pair and every other pair p
-    bound as x_p = x_root xor q_p; an odd cycle leaves no witness.  A
-    covering triple of D2 - D1 must meet E once or twice: its three values
-    x_p xor s_Z must not be all equal, which on the roots reads
-    x_r xor (s_Z xor q_p).  Two of them on one root with different
-    constants always differ; otherwise the triple forbids, at its latest
-    root, the side that would make them all 0 or all 1.  A depth-first
-    search over the pairs ascending tries each root's sides, 0 first,
-    judging its triples there, and gives every other pair the one side its
-    parent, a lower pair, forces.  So two witnesses first differ at a root,
-    and the search's order is the product order over every pair.
-    """
-    _, pair_rules, triple_rules = g.witness_rules
-    diff = outer & ~inner
-    up = list(range(len(g.bcon_pairs)))   # union-find parent, below its child
-    q = [0] * len(up)                     # x_p xor x_up[p]
-    for m, a, b, u, parity in pair_rules:
-        if m & diff == m and inner >> u & 1:
-            while up[a] != a:
-                parity ^= q[a]
-                a = up[a]
-            while up[b] != b:
-                parity ^= q[b]
-                b = up[b]
-            if a == b:
-                if parity:
-                    return
-            elif a < b:
-                up[b], q[b] = a, parity
-            else:
-                up[a], q[a] = b, parity
-    # per root, its triples as (mask, values, s): on the earlier roots in
-    # mask, x equal to values makes side s of the root give all values 0,
-    # and x equal to values ^ mask makes side 1 - s give all 1
-    filed: dict[int, list] = {}
-    for m, literals in triple_rules:
-        if m & diff != m:
-            continue
-        want = {}
-        for p, s in literals:
-            while up[p] != p:
-                s ^= q[p]
-                p = up[p]
-            if want.setdefault(p, s) != s:
-                break
-        else:
-            last = max(want)
-            s = want.pop(last)
-            filed.setdefault(last, []).append(
-                (sum(1 << r for r in want), sum(v << r for r, v in want.items()), s))
-    pairs = vertices_of(diff)
-    if not pairs:
-        yield 0
-        return
-    top = len(pairs) - 1
-    todo = [-1] * len(pairs)   # per depth, the sides still to try; -1 before they are judged
-    x = depth = 0
-    while depth >= 0:
-        bits = todo[depth]
-        p = pairs[depth]
-        if bits < 0:
-            if up[p] != p:
-                bits = 1 << ((x >> up[p] & 1) ^ q[p])
-            else:
-                bits = 3
-                for mask, values, s in filed.get(p, ()):
-                    y = x & mask
-                    if y == values:
-                        bits &= 2 >> s
-                    if y == values ^ mask:
-                        bits &= 1 << s
-        if not bits:
-            depth -= 1
-            continue
-        if bits & 1:
-            x &= ~(1 << p)
-            todo[depth] = bits & 2
-        else:
-            x |= 1 << p
-            todo[depth] = 0
-        if depth < top:
-            depth += 1
-            todo[depth] = -1
-        else:
-            yield x
 
 
 def deg_witnesses(D1: DegeneracySet, D2: DegeneracySet) -> Iterator[frozenset[int]]:
@@ -707,27 +608,21 @@ def dominance_rows(degs: list[DegeneracySet]) -> list[int]:
 # -- symmetry reduction ---------------------------------------------------------------
 
 
-def deg_symmetry_key(g: DualGraph, members: frozenset[int]) -> tuple[int, ...]:
-    """Canonical form of a degeneracy subset under graph automorphisms: the
-    least sorted image of its members."""
-    return min(
-        tuple(sorted(map(img.__getitem__, members)))
-        for img in g.automorphism_images
-    )
-
-
 def deg_symmetry_classes(g: DualGraph, degs: list[DegeneracySet]):
     """Group degeneracy subsets into automorphism classes; returns
-    (representatives, class index per input)."""
-    classes: dict[tuple, int] = {}
+    (representatives, class index per input).  One sweep: a set with no
+    class yet is a representative, and its class goes to all its images."""
+    classes: dict[frozenset[int], int] = {}
     reps: list[DegeneracySet] = []
     assignment = []
     for d in degs:
-        key = deg_symmetry_key(g, d.members)
-        if key not in classes:
-            classes[key] = len(reps)
+        k = classes.get(d.members)
+        if k is None:
+            k = len(reps)
             reps.append(d)
-        assignment.append(classes[key])
+            for img in g.automorphism_images:
+                classes[frozenset(map(img.__getitem__, d.members))] = k
+        assignment.append(k)
     return reps, assignment
 
 

@@ -11,6 +11,8 @@ its tree-cut normal form once.  The public constructor checks every
 field; the pair search's outputs, valid by construction, skip both those
 checks and validation through ``VStability._trusted``, and the degeneracy
 subsets it enumerates skip their checks through ``DegeneracySet._trusted``.
+The dominance-witness kernel, ``_witness_sides``, reads a degeneracy
+subset's ``pair_mask`` and lives beside it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
+from typing import Iterator
 
 from .errors import DomainMismatch, EmptySubcurve, InvalidStability, NotDegenerate
-from .graphs import Contraction, DualGraph, exact_ints, permute_mask, subset_sums
+from .graphs import Contraction, DualGraph, exact_ints, permute_mask, subset_sums, vertices_of
 
 
 # allowed triple sums minus chi, by the number of degenerate members
@@ -404,10 +407,107 @@ class DegeneracySet:
         all biconnected subcurves, decided once by one witness search.  By
         the restriction lemma (:func:`vstab.posets.deg_leq`) it then
         dominates every degeneracy subset that contains it."""
-        from .posets import _witness_sides   # posets imports this module
-
         top = (1 << len(self.graph.bcon_pairs)) - 1
         return next(_witness_sides(self.graph, self.pair_mask, top), None) is not None
+
+
+def _witness_sides(g: DualGraph, inner: int, outer: int) -> Iterator[int]:
+    """The witnesses of D1 >= D2 for degeneracy subsets D1 <= D2 of ``g``,
+    given by the bitmasks ``inner`` and ``outer`` of their pairs (bit p for
+    pair p of ``bcon_pairs``), as side bitmasks: bit p of a witness, for p
+    in ``outer & ~inner``, is the side of pair p it takes (0 the smaller).
+    They come in the product order of those sides, pairs ascending, side 0
+    first.
+
+    With x_p the side taken on pair p, Z lies in E iff x_p = s_Z, the side
+    Z is.  A disjoint pair (A, B) of D2 - D1 whose union lies in D1 must
+    meet E exactly once, [A in E] xor [B in E] = 1, which is the parity
+    equation x_a xor x_b = 1 xor s_A xor s_B.  Union-find merges these
+    equations, each class rooted at its lowest pair and every other pair p
+    bound as x_p = x_root xor q_p; an odd cycle leaves no witness.  A
+    covering triple of D2 - D1 must meet E once or twice: its three values
+    x_p xor s_Z must not be all equal, which on the roots reads
+    x_r xor (s_Z xor q_p).  Two of them on one root with different
+    constants always differ; otherwise the triple forbids, at its latest
+    root, the side that would make them all 0 or all 1.  A depth-first
+    search over the pairs ascending tries each root's sides, 0 first,
+    judging its triples there, and gives every other pair the one side its
+    parent, a lower pair, forces.  So two witnesses first differ at a root,
+    and the search's order is the product order over every pair.
+    """
+    _, pair_rules, triple_rules = g.witness_rules
+    diff = outer & ~inner
+    up = list(range(len(g.bcon_pairs)))   # union-find parent, below its child
+    q = [0] * len(up)                     # x_p xor x_up[p]
+    for m, a, b, u, parity in pair_rules:
+        if m & diff == m and inner >> u & 1:
+            while up[a] != a:
+                parity ^= q[a]
+                a = up[a]
+            while up[b] != b:
+                parity ^= q[b]
+                b = up[b]
+            if a == b:
+                if parity:
+                    return
+            elif a < b:
+                up[b], q[b] = a, parity
+            else:
+                up[a], q[a] = b, parity
+    # per root, its triples as (mask, values, s): on the earlier roots in
+    # mask, x equal to values makes side s of the root give all values 0,
+    # and x equal to values ^ mask makes side 1 - s give all 1
+    filed: dict[int, list] = {}
+    for m, literals in triple_rules:
+        if m & diff != m:
+            continue
+        want = {}
+        for p, s in literals:
+            while up[p] != p:
+                s ^= q[p]
+                p = up[p]
+            if want.setdefault(p, s) != s:
+                break
+        else:
+            last = max(want)
+            s = want.pop(last)
+            filed.setdefault(last, []).append(
+                (sum(1 << r for r in want), sum(v << r for r, v in want.items()), s))
+    pairs = vertices_of(diff)
+    if not pairs:
+        yield 0
+        return
+    top = len(pairs) - 1
+    todo = [-1] * len(pairs)   # per depth, the sides still to try; -1 before they are judged
+    x = depth = 0
+    while depth >= 0:
+        bits = todo[depth]
+        p = pairs[depth]
+        if bits < 0:
+            if up[p] != p:
+                bits = 1 << ((x >> up[p] & 1) ^ q[p])
+            else:
+                bits = 3
+                for mask, values, s in filed.get(p, ()):
+                    y = x & mask
+                    if y == values:
+                        bits &= 2 >> s
+                    if y == values ^ mask:
+                        bits &= 1 << s
+        if not bits:
+            depth -= 1
+            continue
+        if bits & 1:
+            x &= ~(1 << p)
+            todo[depth] = bits & 2
+        else:
+            x |= 1 << p
+            todo[depth] = 0
+        if depth < top:
+            depth += 1
+            todo[depth] = -1
+        else:
+            yield x
 
 
 def extended_value_table(s: VStability) -> list[int]:

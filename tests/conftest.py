@@ -408,6 +408,25 @@ def oracle_box_semistable(s, window: int, full_support_only: bool) -> list:
     return out
 
 
+def oracle_automorphisms(g: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """All vertex permutations preserving genera and the edge multiset, by
+    trying all n! permutations in ``itertools.permutations`` order and
+    sorting the mapped edge list of each: the scan ``automorphisms``
+    replaced, which must give the same tuple in the same order."""
+    out = []
+    canonical = g.edges
+    for perm in itertools.permutations(range(g.n)):
+        if any(g.genera[v] != g.genera[perm[v]] for v in range(g.n)):
+            continue
+        mapped = tuple(sorted(
+            (min(perm[u], perm[v]), max(perm[u], perm[v]))
+            for u, v in g.edges
+        ))
+        if mapped == canonical:
+            out.append(perm)
+    return tuple(out)
+
+
 def oracle_deg_symmetry_key(g: DualGraph, members) -> tuple[int, ...]:
     """Least sorted image of a degeneracy subset's members over the
     automorphisms, each image computed by ``permute_mask``."""
@@ -504,7 +523,7 @@ def oracle_pair_search_witnesses(D1, D2):
     option per side of each pair of D2 - D1, the smaller side first, under
     every disjoint pair of D2 - D1 with union in D1 and every covering
     triple inside D2 - D1, filtered from the graph's tables per call.  It
-    is the search the parity-class kernel ``posets._witness_sides``
+    is the search the parity-class kernel ``stability._witness_sides``
     replaced, and must yield the same witnesses in the same order."""
     if D1.graph != D2.graph or not D1.members <= D2.members:
         return

@@ -324,8 +324,8 @@ class TestEnumCommands:
 
     @pytest.mark.parametrize("argv", MOD_SYMMETRY, ids=["enum-deg", "poset"])
     def test_mod_symmetry_refuses_a_long_path(self, tmp_path, capsys, argv):
-        # the n! automorphism search would take about an hour at n = 12;
-        # the path has few degeneracy subsets, so no other budget stops it
+        # the bound refuses n = 12 before any work; the path has few
+        # degeneracy subsets, so no other budget stops it
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"genera": [0] * 12, "edges": [[i, i + 1] for i in range(11)]}))
         start = time.process_time()

@@ -21,6 +21,9 @@ from conftest import (
     banana,
     genus_decorated,
     k4,
+    k24,
+    k33_minus_edge,
+    oracle_automorphisms,
     oracle_biconnected,
     oracle_connected,
     oracle_component_count,
@@ -32,6 +35,7 @@ from conftest import (
     path3,
     time_bound,
     triangle,
+    triangle_genus1,
 )
 
 
@@ -428,3 +432,23 @@ def test_automorphisms_k4():
 def test_automorphisms_respect_genera():
     g = DualGraph((0, 1), ((0, 1),))
     assert g.automorphisms == ((0, 1),)
+
+
+def looped_cycle4():
+    """The 4-cycle with one loop at 0, one at 2 and two at 1: the loop
+    counts leave the identity and the reflection swapping 0 and 2."""
+    return DualGraph((0,) * 4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 0), (2, 2), (1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "make", LADDER + [k33_minus_edge, k24, genus_decorated, triangle_genus1, looped_cycle4],
+    ids=lambda f: f.__name__,
+)
+def test_automorphisms_match_the_permutation_scan(make):
+    g = make()
+    assert g.automorphisms == oracle_automorphisms(g)
+
+
+def test_automorphisms_match_the_permutation_scan_on_the_catalogue():
+    for g in connected_multigraphs(5, 7):
+        assert g.automorphisms == oracle_automorphisms(g)

@@ -20,7 +20,6 @@ from vstab.posets import (
     check_deg_witness,
     deg_leq,
     deg_symmetry_classes,
-    deg_symmetry_key,
     deg_witness,
     deg_witnesses,
     dominance_rows,
@@ -54,6 +53,8 @@ from conftest import (
     k4,
     k4_plus_path2,
     k5,
+    k24,
+    k33_minus_edge,
     oracle_check_deg_witness,
     oracle_closure_from,
     oracle_deg_symmetry_key,
@@ -881,11 +882,24 @@ class TestHasse:
         assert len(h.covers) == 8
 
 
-@pytest.mark.parametrize("make", LADDER, ids=lambda f: f.__name__)
-def test_symmetry_key_matches_permute_mask_oracle(make):
+@pytest.mark.parametrize("make", LADDER + [k33_minus_edge, k24], ids=lambda f: f.__name__)
+def test_symmetry_classes_group_by_the_oracle_key(make):
+    # grouping by the least sorted image, classes numbered in order of
+    # first occurrence, gives the representatives and the assignment, on
+    # the enumerated list and on that list reversed
     g = make()
-    for d in enumerate_degeneracy_subsets(g):
-        assert deg_symmetry_key(g, d.members) == oracle_deg_symmetry_key(g, d.members)
+    listed = enumerate_degeneracy_subsets(g)
+    for degs in (listed, listed[::-1]):
+        classes, reps, assignment = {}, [], []
+        for d in degs:
+            key = oracle_deg_symmetry_key(g, d.members)
+            if key not in classes:
+                classes[key] = len(reps)
+                reps.append(d)
+            assignment.append(classes[key])
+        got_reps, got_assignment = deg_symmetry_classes(g, degs)
+        assert [id(d) for d in got_reps] == [id(d) for d in reps]
+        assert got_assignment == assignment
 
 
 class TestChainSweeps:
